@@ -47,7 +47,8 @@ object StreamingEtl {
         .otherwise(Quality.Ok))
 
     // Multi-gateway duplicates share (deviceId, frameCounter); keep one copy.
-    // The 1h watermark bounds dedup state in continuous operation.
+    // The key has no event-time column, so the 1h watermark never evicts
+    // dedup state: it grows with every frame seen (ROADMAP open item 1).
     val deduped = validated
       .withWatermark("ts", "1 hour")
       .dropDuplicates("deviceId", "frameCounter")

@@ -17,17 +17,22 @@ final case class TsdbStore(path: String) {
   import TsdbStore._
 
   /** Append points. Input must have columns
-    * (metric, tsEpoch, value, deviceId, city).
+    * (metric, tsEpoch, value, deviceId, city). Rows are clustered by
+    * partition first, so one put writes one file per (metric, date).
     */
   def put(points: DataFrame): Unit = {
     require(PointColumns.forall(points.columns.contains),
       s"need columns $PointColumns, got ${points.columns.toSeq}")
     points
       .withColumn("date", to_date(timestamp_seconds(col("tsEpoch"))))
+      .repartition(col("metric"), col("date"))
       .write.mode("append").partitionBy("metric", "date").parquet(path)
   }
 
   private def load(spark: SparkSession): DataFrame = spark.read.parquet(path)
+
+  /** Every stored point, columns in [[TsdbStore.PointColumns]] order. */
+  def points(spark: SparkSession): DataFrame = load(spark).select(PointColumns.map(col): _*)
 
   /** Raw points of one metric in [startEpoch, endEpoch), optionally filtered
     * by tag equality.
@@ -79,17 +84,18 @@ final case class TsdbStore(path: String) {
 object TsdbStore {
   val PointColumns: Seq[String] = Seq("metric", "tsEpoch", "value", "deviceId", "city")
 
-  /** Melt wide readings (one column per measured quantity) into TSDB points.
-    * `metricCols` maps column name → metric name.
+  /** Melt wide readings (one column per measured quantity) into TSDB points
+    * with columns in [[PointColumns]] order. `metricCols` maps column name →
+    * metric name. One `unpivot` reads each input row once, so a streaming
+    * micro-batch plan (scan, decode, dedup, enrich) runs once, not once per
+    * metric as a union of per-metric selects would.
     */
-  def meltReadings(readings: DataFrame, metricCols: Map[String, String]): DataFrame = {
-    val pieces = metricCols.toSeq.map { case (c, metric) =>
-      readings.select(
-        lit(metric).as("metric"), col("tsEpoch"),
-        col(c).cast("double").as("value"), col("deviceId"), col("city"))
-    }
-    pieces.reduce(_ unionByName _)
-  }
+  def meltReadings(readings: DataFrame, metricCols: Map[String, String]): DataFrame =
+    readings.unpivot(
+      Array(col("tsEpoch"), col("deviceId"), col("city")),
+      metricCols.toArray.map { case (c, metric) => col(c).cast("double").as(metric) },
+      "metric", "value")
+      .select(PointColumns.map(col): _*)
 
   /** Standard metric mapping of the deployment. */
   val StandardMetrics: Map[String, String] = Map(

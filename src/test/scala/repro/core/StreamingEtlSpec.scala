@@ -116,6 +116,32 @@ class StreamingEtlSpec extends SparkSpec {
     assert(store.query(spark, "air.co2", 0, Long.MaxValue).count() == distinctFrames)
   }
 
+  test("streaming dedup keeps one state row per frame, not one per metric") {
+    val work = Files.createTempDirectory("etl-state").toFile
+    val bridgeDir = new java.io.File(work, "bridge").toString
+    Pipeline.writeBridge(spark, sf, 7L, bridgeDir)
+    val store = TsdbStore(new java.io.File(work, "tsdb").toString)
+    // Broadcast the fleet, as the spark-submit jobs do: a shuffled join
+    // would put an exchange above dedup that Spark reuses, hiding re-runs.
+    val threshold = "spark.sql.autoBroadcastJoinThreshold"
+    val saved = spark.conf.get(threshold)
+    spark.conf.set(threshold, "10MB")
+    val q = try {
+      val q = StreamingEtl.startStream(spark, bridgeDir,
+        new java.io.File(work, "chk").toString, store, fleet)
+      q.awaitTermination()
+      q
+    } finally spark.conf.set(threshold, saved)
+    val batches = q.recentProgress.filter(_.numInputRows > 0)
+    assert(batches.length == 1)
+    val frames = spark.read.schema(Schemas.packetSchema).json(bridgeDir)
+      .select("deviceId", "frameCounter").distinct().count()
+    // A batch plan that re-ran dedup once per metric would count every
+    // frame once per run.
+    val state = batches.head.stateOperators.map(_.numRowsTotal)
+    assert(state.toSeq == Seq(frames), s"state rows per operator: ${state.mkString(", ")}")
+  }
+
   test("TestData fixture: OK readings flow end to end at SF=0.01") {
     assert(TestData.readings.count() > 10000)
   }

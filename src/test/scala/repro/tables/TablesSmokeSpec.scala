@@ -20,7 +20,9 @@ class TablesSmokeSpec extends SparkSpec {
 
   test("Table 7 harness: streaming and batch parity at small scale") {
     val res = Table7Throughput.compute(spark, sf)
-    assert(res.parity, s"stream=${res.storedReadings} batch=${res.batchReadings}")
+    assert(res.parity, s"stream=${res.storedPoints} batch=${res.batchPoints} " +
+      s"differing=${res.mismatchedPoints}")
+    assert(res.storedPoints > 0)
     assert(res.streamRowsPerSec > 0 && res.batchRowsPerSec > 0)
   }
 

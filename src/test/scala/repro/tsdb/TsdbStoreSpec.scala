@@ -131,6 +131,46 @@ class TsdbStoreSpec extends SparkSpec {
       .head().getAs[Double]("value") == 412.0)
   }
 
+  private def wideReadings() = {
+    import spark.implicits._
+    Seq(
+      ("d1", "Trondheim", 1483228800L, 412.0, 21.0, 14.0, 7.5, -3.2, 81.0, 1002.0, 95.0),
+      ("d2", "Vejle", 1483229100L, 430.0, Double.NaN, 18.5, Double.NaN, 1.1, 77.5, 1011.0, 64.0),
+      ("d1", "Trondheim", 1483315200L, 405.0, 19.0, Double.NaN, 6.0, -1.0, 90.0, 998.5, 94.5)
+    ).toDF("deviceId", "city", "tsEpoch", "co2Ppm", "no2Ugm3", "pm10Ugm3", "pm25Ugm3",
+      "tempC", "humidityPct", "pressureHpa", "batteryPct")
+  }
+
+  test("meltReadings returns PointColumns and equals per-metric selects, NaN included") {
+    val readings = wideReadings()
+    val melted = TsdbStore.meltReadings(readings, TsdbStore.StandardMetrics)
+    assert(melted.columns.toSeq == TsdbStore.PointColumns)
+    val unioned = TsdbStore.StandardMetrics.toSeq.map { case (c, metric) =>
+      readings.select(lit(metric).as("metric"), col("tsEpoch"),
+        col(c).cast("double").as("value"), col("deviceId"), col("city"))
+    }.reduce(_ union _)
+    assert(melted.count() == 3 * 8)
+    assert(melted.where(isnan(col("value"))).count() == 3)
+    assert(melted.exceptAll(unioned).count() == 0)
+    assert(unioned.exceptAll(melted).count() == 0)
+  }
+
+  test("one put writes one Parquet file per (metric, date) partition") {
+    val store = freshStore()
+    // 1000 points at 5-min spacing span 4 days; unclustered, every input
+    // partition would write its own file for each day.
+    store.put(TsdbStore.meltReadings(
+      samplePoints().withColumnRenamed("value", "co2Ppm").withColumn("no2Ugm3", lit(20.0)),
+      Map("co2Ppm" -> "air.co2", "no2Ugm3" -> "air.no2")))
+    val dirs = Files.walk(java.nio.file.Paths.get(store.path)).toArray
+      .map(_.asInstanceOf[java.nio.file.Path])
+      .filter(_.getFileName.toString.endsWith(".parquet"))
+      .groupBy(_.getParent)
+    val partitions = spark.read.parquet(store.path).select("metric", "date").distinct().count()
+    assert(dirs.size == partitions && partitions >= 2 * 4, s"partitions: ${dirs.keys.mkString(", ")}")
+    dirs.foreach { case (dir, files) => assert(files.length == 1, s"$dir: ${files.length} files") }
+  }
+
   test("standard metric mapping covers all measured quantities") {
     assert(TsdbStore.StandardMetrics.size == 8)
     assert(TsdbStore.StandardMetrics.values.toSet.size == 8)
