@@ -1,7 +1,6 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.core.GeoFunctions
 import repro.tables._
 
 /** Shared session bootstrap for the spark-submit entrypoints. Each job
@@ -9,17 +8,13 @@ import repro.tables._
   * the scale factor (default 0.1, the benchmark scale).
   */
 object JobSession {
-  def build(name: String): SparkSession = {
-    val spark = SparkSession.builder
+  def build(name: String): SparkSession =
+    SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
-      .config("spark.sql.extensions", "repro.core.EmissionExtensions")
       .config("spark.sql.shuffle.partitions",
         sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .getOrCreate()
-    GeoFunctions.register(spark)
-    spark
-  }
   def sf(args: Array[String]): Double =
     args.headOption.map(_.toDouble).getOrElse(0.1)
 }

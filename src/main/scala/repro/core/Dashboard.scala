@@ -5,8 +5,10 @@ import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 /** The data products behind the Fig 6 dashboards (Zeppelin/OpenTSDB in the
-  * paper): per-sensor real-time panel with CAQI classification, hourly
-  * statistics, a traffic-flow panel, and the combined wall display of Fig 8.
+  * paper): per-sensor real-time panel with CAQI classification, a
+  * traffic-flow panel, and the combined wall display of Fig 8. The hourly
+  * time-series charts are [[repro.tsdb.TsdbStore.downsample]] with a
+  * 60-minute window.
   */
 object Dashboard {
 
@@ -23,11 +25,6 @@ object Dashboard {
       .select("deviceId", "city", "lat", "lon", "tsEpoch",
         "co2Ppm", "no2Ugm3", "pm10Ugm3", "pm25Ugm3", "tempC", "caqi", "caqiName")
   }
-
-  /** Hourly per-sensor statistics panel (the time-series charts). */
-  def hourlyStats(readings: DataFrame): DataFrame =
-    TemporalAlign.resample(readings, Seq("deviceId", "city"),
-      Seq("co2Ppm", "no2Ugm3", "pm10Ugm3", "pm25Ugm3", "tempC"), 60)
 
   /** Traffic-flow panel: latest jam factor per link with a flow class. */
   def trafficPanel(traffic: DataFrame): DataFrame = {

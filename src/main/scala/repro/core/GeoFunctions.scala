@@ -1,21 +1,14 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, SparkSession}
-import org.apache.spark.sql.catalyst.FunctionIdentifier
-import org.apache.spark.sql.catalyst.expressions.{Expression, ExpressionInfo}
-import org.apache.spark.sql.catalyst.expressions.codegen.CodegenFallback
-import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.Column
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.{DataType, DoubleType}
 
 /** Spatial primitives of the pipeline.
   *
-  * `haversine_km` is implemented as a native Catalyst [[Expression]] and
-  * registered in the session function registry (see [[EmissionExtensions]]),
-  * so spatial joins can be written in plain Spark SQL — this is the
-  * extension-point demonstration required by the layering rules. A Column
-  * builder and a plain Scala version are provided for the DataFrame API and
-  * for driver-side math respectively.
+  * The great-circle distance has one formula in two forms: a plain Scala
+  * function for code that runs inside typed `Dataset` lambdas (the radio
+  * model) and a Column expression built from Spark built-ins for DataFrame
+  * joins (nearest station/link, interpolation onto the city model).
   */
 object GeoFunctions {
 
@@ -31,60 +24,18 @@ object GeoFunctions {
     2 * EarthRadiusKm * math.asin(math.min(1.0, math.sqrt(a)))
   }
 
-  /** Catalyst expression computing [[haversineKm]] over four double columns.
-    * `ImplicitCastInputTypes` lets the analyzer coerce SQL decimal/int
-    * literals to double before evaluation.
+  /** [[haversineKm]] as a Column expression of Spark built-ins; null if
+    * any input is null.
     */
-  case class HaversineKm(children: Seq[Expression]) extends Expression
-      with org.apache.spark.sql.catalyst.expressions.ImplicitCastInputTypes
-      with CodegenFallback {
-    require(children.size == 4, "haversine_km expects (lat1, lon1, lat2, lon2)")
-
-    override def inputTypes: Seq[DataType] = Seq.fill(4)(DoubleType)
-    override def dataType: DataType = DoubleType
-    override def nullable: Boolean = children.exists(_.nullable)
-
-    override def eval(input: InternalRow): Any = {
-      val vals = children.map(_.eval(input))
-      if (vals.contains(null)) null
-      else {
-        def d(a: Any): Double = a match {
-          case x: Double => x
-          case x: Float => x.toDouble
-          case x: org.apache.spark.sql.types.Decimal => x.toDouble
-          case x: java.lang.Number => x.doubleValue()
-        }
-        haversineKm(d(vals(0)), d(vals(1)), d(vals(2)), d(vals(3)))
-      }
-    }
-
-    override protected def withNewChildrenInternal(
-        newChildren: IndexedSeq[Expression]): Expression = copy(children = newChildren)
-  }
-
-  /** Registration triple used both by [[EmissionExtensions]] and by
-    * direct `sessionState.functionRegistry` registration in tests.
-    */
-  val haversineRegistration: (FunctionIdentifier, ExpressionInfo, Seq[Expression] => Expression) = (
-    FunctionIdentifier("haversine_km"),
-    new ExpressionInfo(classOf[HaversineKm].getName, "haversine_km"),
-    (exprs: Seq[Expression]) => HaversineKm(exprs),
-  )
-
-  /** Register `haversine_km` on an already-built session (idempotent). */
-  def register(spark: SparkSession): Unit = {
-    val (id, info, builder) = haversineRegistration
-    spark.sessionState.functionRegistry.registerFunction(id, info, builder)
-  }
-
-  /** Column-API builder over the same Catalyst expression. */
   def haversineKmCol(lat1: Column, lon1: Column, lat2: Column, lon2: Column): Column = {
     val r = math.toRadians(1.0)
     val dLat = (lat2 - lat1) * r
     val dLon = (lon2 - lon1) * r
     val a = pow(sin(dLat / 2), 2) +
       cos(lat1 * r) * cos(lat2 * r) * pow(sin(dLon / 2), 2)
-    lit(2 * EarthRadiusKm) * asin(least(lit(1.0), sqrt(a)))
+    // Clamp with `when`, not `least`: `least` skips nulls and would turn a
+    // null input into half the circumference.
+    lit(2 * EarthRadiusKm) * asin(when(a >= 1.0, lit(1.0)).otherwise(sqrt(a)))
   }
 
   /** Size of one grid cell in degrees latitude (~111 m of northing). */

@@ -5,8 +5,8 @@ import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 /** Spatial integration of sensors with external sources: nearest official
-  * station, nearest traffic link, satellite footprint matching, and inverse-
-  * distance interpolation onto the 3D-city-model grid.
+  * station or traffic link, and inverse-distance interpolation onto the
+  * 3D-city-model grid.
   *
   * Right-hand sides are small dimension sets (stations, links, buildings),
   * so nearest-neighbour is a distance-filtered cross join + rank — the
@@ -54,16 +54,5 @@ object SpatialJoin {
       count(lit(1)).as("nSamples")
     joined.groupBy(col(pointKey), col("lat"), col("lon"))
       .agg(aggs.head, aggs.tail: _*)
-  }
-
-  /** Pairs of left/right keys within `maxKm` (e.g. satellite soundings near
-    * the city), keeping all matches rather than the single nearest.
-    */
-  def within(left: DataFrame, right: DataFrame, maxKm: Double): DataFrame = {
-    val r = right.withColumnRenamed("lat", "_rlat").withColumnRenamed("lon", "_rlon")
-    left.crossJoin(r)
-      .withColumn("distKm",
-        GeoFunctions.haversineKmCol(col("lat"), col("lon"), col("_rlat"), col("_rlon")))
-      .where(col("distKm") <= maxKm)
   }
 }

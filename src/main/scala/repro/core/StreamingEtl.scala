@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.streaming.{StreamingQuery, Trigger}
-import repro.core.Schemas.{Measurement, Quality}
+import repro.core.Schemas.Quality
 import repro.lorawan.PacketCodec
 import repro.tsdb.TsdbStore
 

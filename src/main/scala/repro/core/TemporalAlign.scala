@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 /** Temporal integration of heterogeneous sources (§2.2: "different
@@ -20,20 +19,8 @@ object TemporalAlign {
   }
 
   /** Resample irregular points to fixed windows: one row per (keys, window)
-    * with avg/min/max/count of each value column.
+    * with the mean of each value column under its own name.
     */
-  def resample(df: DataFrame, keys: Seq[String], valueCols: Seq[String],
-               windowMinutes: Int): DataFrame = {
-    val aggs = valueCols.flatMap { c =>
-      Seq(avg(col(c)).as(s"${c}_avg"), min(col(c)).as(s"${c}_min"),
-          max(col(c)).as(s"${c}_max"))
-    } :+ count(lit(1)).as("nPoints")
-    df.withColumn("windowStartEpoch", windowStart(col("tsEpoch"), windowMinutes))
-      .groupBy((keys.map(col) :+ col("windowStartEpoch")): _*)
-      .agg(aggs.head, aggs.tail: _*)
-  }
-
-  /** Mean-only resample, value columns keep their names. */
   def resampleMean(df: DataFrame, keys: Seq[String], valueCols: Seq[String],
                    windowMinutes: Int): DataFrame = {
     val aggs = valueCols.map(c => avg(col(c)).as(c))
@@ -41,34 +28,6 @@ object TemporalAlign {
       .groupBy((keys.map(col) :+ col("windowStartEpoch")): _*)
       .agg(aggs.head, aggs.tail: _*)
   }
-
-  /** Expand to a dense per-(key, window) grid over [startEpoch, endEpoch) and
-    * forward-fill missing values from the last observed window — the standard
-    * gap handling of §2.2 ("usual issues of missing data ... handled by
-    * standard methods"). Values still null before the first observation.
-    */
-  def fillGaps(resampled: DataFrame, keys: Seq[String], valueCols: Seq[String],
-               windowMinutes: Int, startEpoch: Long, endEpoch: Long): DataFrame = {
-    val spark = resampled.sparkSession
-    val w = windowMinutes * 60L
-    val grid = spark.range(startEpoch / w, (endEpoch + w - 1) / w)
-      .select((col("id") * w).as("windowStartEpoch"))
-    val keyRows = resampled.select(keys.map(col): _*).distinct()
-    val dense = keyRows.crossJoin(grid)
-    val joined = dense.join(resampled, keys :+ "windowStartEpoch", "left")
-    val ffill = Window.partitionBy(keys.map(col): _*)
-      .orderBy(col("windowStartEpoch"))
-      .rowsBetween(Window.unboundedPreceding, Window.currentRow)
-    valueCols.foldLeft(joined) { (df, c) =>
-      df.withColumn(c, last(col(c), ignoreNulls = true).over(ffill))
-    }
-  }
-
-  /** As-of alignment of two pre-resampled frames on (joinKeys, window):
-    * left-preserving equi-join on the shared window start.
-    */
-  def alignWindows(left: DataFrame, right: DataFrame, joinKeys: Seq[String]): DataFrame =
-    left.join(right, joinKeys :+ "windowStartEpoch", "left")
 
   /** Local hour-of-day of a window start (fixed UTC offset, DST ignored). */
   def hourOfDay(windowStartEpoch: Column, tzOffsetHours: Int): Column =

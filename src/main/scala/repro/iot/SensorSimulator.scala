@@ -1,6 +1,6 @@
 package repro.iot
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.core.{DetHash, Schemas}
 import repro.core.Schemas.{Measurement, SensorNode, Uplink}
 import repro.lorawan.PacketCodec
@@ -64,8 +64,4 @@ object SensorSimulator {
       .repartition(fleet.size)
       .flatMap(node => simulateNode(node, end, seed))
   }
-
-  /** Uplinks as a DataFrame (convenience for SQL-level consumers). */
-  def uplinksDF(spark: SparkSession, sf: Double, seed: Long = 7L): DataFrame =
-    uplinks(spark, sf, seed).toDF()
 }

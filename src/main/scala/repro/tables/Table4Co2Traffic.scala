@@ -1,7 +1,6 @@
 package repro.tables
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions._
 import repro.core.{Co2TrafficAnalysis, Pipeline}
 import repro.external.HereTraffic
 

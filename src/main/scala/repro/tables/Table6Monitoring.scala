@@ -45,7 +45,6 @@ object Table6Monitoring {
     val outages = Seq(OutageWindow(OutGateway, outageStart, outageEnd))
 
     // Simulate, kill the dead sensor at deathTime, transmit with the outage.
-    import spark.implicits._
     val ups = repro.iot.SensorSimulator.uplinks(spark, ScenarioSf, seed)
       .filter(u => !(u.deviceId == DeadDevice && u.tsEpoch >= deathTime))
     val packets = RadioNetwork.transmit(spark, ups, RadioNetwork.gateways, outages,

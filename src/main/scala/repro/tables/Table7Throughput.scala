@@ -1,8 +1,7 @@
 package repro.tables
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions._
-import repro.core.{Pipeline, Schemas, StreamingEtl}
+import repro.core.{Pipeline, StreamingEtl}
 import repro.iot.SensorFleet
 import repro.tsdb.TsdbStore
 

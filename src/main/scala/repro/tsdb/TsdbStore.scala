@@ -2,6 +2,7 @@ package repro.tsdb
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.core.TemporalAlign
 
 /** OpenTSDB-like time-series store over time-partitioned Parquet.
   *
@@ -59,9 +60,8 @@ final case class TsdbStore(path: String) {
       case "count" => count(col("value")).cast("double")
       case other => throw new IllegalArgumentException(s"unsupported agg: $other")
     }
-    val w = windowMinutes * 60L
     query(spark, metric, startEpoch, endEpoch, tags)
-      .withColumn("windowStartEpoch", (col("tsEpoch") / w).cast("long") * w)
+      .withColumn("windowStartEpoch", TemporalAlign.windowStart(col("tsEpoch"), windowMinutes))
       .groupBy(col("deviceId"), col("city"), col("windowStartEpoch"))
       .agg(fn.as("value"))
   }

@@ -7,7 +7,6 @@ class CalibrationSpec extends SparkSpec {
 
   /** y = 2x + 5 + small noise. */
   private def linearPairs = {
-    import spark.implicits._
     spark.range(200).select(
       (col("id").cast("double") / 10).as("x"),
       (col("id").cast("double") / 10 * 2 + 5 + sin(col("id").cast("double")) * 0.01).as("y"))
@@ -75,7 +74,6 @@ class CalibrationSpec extends SparkSpec {
   }
 
   test("calibration reduces RMSE on a biased sensor") {
-    import spark.implicits._
     // Sensor reads 1.3*truth + 8.
     val pairs = spark.range(300).select(
       (rand(3) * 50 + 10).as("truth"))

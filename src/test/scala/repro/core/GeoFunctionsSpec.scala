@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalacheck.{Gen, Prop}
+import org.scalacheck.rng.Seed
 import repro.{Props, SparkSpec}
 
 class GeoFunctionsSpec extends SparkSpec {
@@ -48,37 +49,23 @@ class GeoFunctionsSpec extends SparkSpec {
     })
   }
 
-  test("Catalyst expression registered via functionRegistry works in SQL") {
-    GeoFunctions.register(spark)
-    val d = spark.sql(
-      "SELECT haversine_km(63.4305, 10.3951, 55.7090, 9.5357) AS d").head().getDouble(0)
-    assert(math.abs(d - haversineKm(63.4305, 10.3951, 55.7090, 9.5357)) < 1e-9)
-  }
-
-  test("Catalyst expression evaluates over a table, not just literals") {
-    GeoFunctions.register(spark)
-    import spark.implicits._
-    val df = Seq((63.43, 10.39), (55.71, 9.54)).toDF("la", "lo")
-    df.createOrReplaceTempView("geo_pts")
-    val rows = spark.sql(
-      "SELECT haversine_km(la, lo, 63.43, 10.39) AS d FROM geo_pts ORDER BY d").collect()
-    assert(rows(0).getDouble(0) == 0.0)
-    assert(rows(1).getDouble(0) > 800)
-  }
-
-  test("Catalyst expression propagates nulls") {
-    GeoFunctions.register(spark)
-    val r = spark.sql("SELECT haversine_km(CAST(NULL AS DOUBLE), 1.0, 2.0, 3.0) AS d").head()
-    assert(r.isNullAt(0))
-  }
-
   test("column builder matches scala implementation") {
     import spark.implicits._
     import org.apache.spark.sql.functions.col
-    val df = Seq((63.4305, 10.3951, 55.7090, 9.5357)).toDF("a", "b", "c", "d")
-    val got = df.select(
-      GeoFunctions.haversineKmCol(col("a"), col("b"), col("c"), col("d"))).head().getDouble(0)
-    assert(math.abs(got - haversineKm(63.4305, 10.3951, 55.7090, 9.5357)) < 1e-9)
+    val pairs = (63.4305, 10.3951, 55.7090, 9.5357) +:
+      Gen.listOfN(200, Gen.zip(coord, coord)).pureApply(Gen.Parameters.default, Seed(7L))
+        .map { case (a, b) => (a._1, a._2, b._1, b._2) }
+    val got = pairs.toDF("a", "b", "c", "d")
+      .select(GeoFunctions.haversineKmCol(col("a"), col("b"), col("c"), col("d")))
+      .collect().map(_.getDouble(0)).toSeq
+    pairs.zip(got).foreach { case ((a, b, c, d), g) =>
+      val exp = haversineKm(a, b, c, d)
+      assert(math.abs(g - exp) < 1e-9, s"($a, $b, $c, $d): col=$g scala=$exp")
+    }
+    val nullLat = Seq[(Option[Double], Double, Double, Double)]((None, 10.39, 55.71, 9.54))
+      .toDF("a", "b", "c", "d")
+      .select(GeoFunctions.haversineKmCol(col("a"), col("b"), col("c"), col("d"))).head()
+    assert(nullLat.isNullAt(0))
   }
 
   test("gridCellId: same point same cell, distant points different cells") {

@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.tsdb.TsdbStore
 

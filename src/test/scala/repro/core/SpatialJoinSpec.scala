@@ -99,19 +99,4 @@ class SpatialJoinSpec extends SparkSpec {
     val out = SpatialJoin.idwInterpolate(targets, "pointKey", samples, Seq("v"), 5.0)
     assert(out.count() == 0)
   }
-
-  test("within keeps all pairs under the threshold") {
-    val out = SpatialJoin.within(sensors, stations, 5.0)
-    // s1,s2 near st-trd; s3 near st-vjl
-    assert(out.count() == 3)
-    val far = SpatialJoin.within(sensors, stations, 2000.0)
-    assert(far.count() == 6)
-  }
-
-  test("within reports symmetric-quality distances") {
-    val out = SpatialJoin.within(sensors, stations, 2000.0)
-      .where(col("deviceId") === "s3" && col("stationId") === "st-trd")
-    val d = out.head().getAs[Double]("distKm")
-    assert(d > 830 && d < 890)
-  }
 }

@@ -51,7 +51,6 @@ class StreamingEtlSpec extends SparkSpec {
   }
 
   test("malformed payloads get DECODE_ERROR, not a crash") {
-    import spark.implicits._
     val bad = packets.limit(3).withColumn("payloadB64", lit("@@@"))
     val out = StreamingEtl.transform(bad, fleet)
     assert(out.select("qualityFlag").distinct().collect().map(_.getString(0)).toSeq ==
@@ -59,7 +58,6 @@ class StreamingEtlSpec extends SparkSpec {
   }
 
   test("out-of-range values get RANGE flag") {
-    import spark.implicits._
     val hot = repro.lorawan.PacketCodec.encode(
       Schemas.Measurement(450, 20, 15, 8, 75.0, 50, 1013, 90)) // temp 75C
     val bad = packets.limit(1).withColumn("payloadB64", lit(hot))

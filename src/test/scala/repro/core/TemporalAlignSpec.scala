@@ -6,7 +6,6 @@ import repro.{Oracle, SparkSpec}
 class TemporalAlignSpec extends SparkSpec {
 
   private def pts = {
-    import spark.implicits._
     spark.range(500).select(
       concat(lit("d"), (col("id") % 3).cast("string")).as("deviceId"),
       (lit(1483228800L) + col("id") * 300 + (col("id") % 7) * 13).as("tsEpoch"),
@@ -31,72 +30,6 @@ class TemporalAlignSpec extends SparkSpec {
         |       round(avg(CAST(v AS DOUBLE)), 4) AS v
         |FROM pts GROUP BY 1, 2""".stripMargin,
       "pts" -> p)
-  }
-
-  test("resample produces avg/min/max/count columns") {
-    val out = TemporalAlign.resample(pts, Seq("deviceId"), Seq("v"), 60)
-    assert(Seq("v_avg", "v_min", "v_max", "nPoints").forall(out.columns.contains))
-    val row = out.where(col("nPoints") > 1).head()
-    assert(row.getAs[Double]("v_min") <= row.getAs[Double]("v_avg"))
-    assert(row.getAs[Double]("v_avg") <= row.getAs[Double]("v_max"))
-  }
-
-  test("resample counts match DuckDB") {
-    val p = pts.cache()
-    val got = TemporalAlign.resample(p, Seq("deviceId"), Seq("v"), 30)
-      .select(col("deviceId"), col("windowStartEpoch"), col("nPoints"))
-    Oracle.assertEquivalent(got,
-      """SELECT deviceId,
-        |       (CAST(tsEpoch AS BIGINT) // 1800) * 1800 AS windowStartEpoch,
-        |       count(*) AS nPoints
-        |FROM pts GROUP BY 1, 2""".stripMargin,
-      "pts" -> p)
-  }
-
-  test("fillGaps produces a dense grid") {
-    import spark.implicits._
-    val sparse = Seq(
-      ("d1", 1483228800L, 1.0),
-      ("d1", 1483228800L + 3 * 3600, 4.0)
-    ).toDF("deviceId", "tsEpoch", "v")
-    val resampled = TemporalAlign.resampleMean(sparse, Seq("deviceId"), Seq("v"), 60)
-    val dense = TemporalAlign.fillGaps(resampled, Seq("deviceId"), Seq("v"), 60,
-      1483228800L, 1483228800L + 5 * 3600)
-    assert(dense.count() == 5)
-  }
-
-  test("fillGaps forward-fills from the last observation") {
-    import spark.implicits._
-    val sparse = Seq(
-      ("d1", 1483228800L, 1.0),
-      ("d1", 1483228800L + 3 * 3600, 4.0)
-    ).toDF("deviceId", "tsEpoch", "v")
-    val resampled = TemporalAlign.resampleMean(sparse, Seq("deviceId"), Seq("v"), 60)
-    val dense = TemporalAlign.fillGaps(resampled, Seq("deviceId"), Seq("v"), 60,
-      1483228800L, 1483228800L + 5 * 3600)
-      .orderBy("windowStartEpoch").collect()
-    assert(dense.map(_.getAs[Double]("v")).toSeq == Seq(1.0, 1.0, 1.0, 4.0, 4.0))
-  }
-
-  test("fillGaps leaves values before the first observation null") {
-    import spark.implicits._
-    val sparse = Seq(("d1", 1483228800L + 2 * 3600, 9.0)).toDF("deviceId", "tsEpoch", "v")
-    val resampled = TemporalAlign.resampleMean(sparse, Seq("deviceId"), Seq("v"), 60)
-    val dense = TemporalAlign.fillGaps(resampled, Seq("deviceId"), Seq("v"), 60,
-      1483228800L, 1483228800L + 3 * 3600)
-      .orderBy("windowStartEpoch").collect()
-    assert(dense(0).isNullAt(dense(0).fieldIndex("v")))
-    assert(dense(2).getAs[Double]("v") == 9.0)
-  }
-
-  test("alignWindows is left-preserving") {
-    import spark.implicits._
-    val l = Seq(("d1", 0L, 1.0), ("d1", 3600L, 2.0)).toDF("deviceId", "windowStartEpoch", "a")
-    val r = Seq(("d1", 0L, 10.0)).toDF("deviceId", "windowStartEpoch", "b")
-    val j = TemporalAlign.alignWindows(l, r, Seq("deviceId")).orderBy("windowStartEpoch").collect()
-    assert(j.length == 2)
-    assert(j(0).getAs[Double]("b") == 10.0)
-    assert(j(1).isNullAt(j(1).fieldIndex("b")))
   }
 
   test("hourOfDay applies the timezone offset") {

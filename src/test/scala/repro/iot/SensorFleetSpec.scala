@@ -1,6 +1,5 @@
 package repro.iot
 
-import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
 
 class SensorFleetSpec extends SparkSpec {

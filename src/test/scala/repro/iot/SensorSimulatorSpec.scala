@@ -44,7 +44,6 @@ class SensorSimulatorSpec extends SparkSpec {
   }
 
   test("payloads decode back to plausible measurements") {
-    import spark.implicits._
     val decoded = ups.limit(500).collect().map(u => PacketCodec.decode(u.payloadB64))
     assert(decoded.forall(_.isDefined))
     decoded.flatten.foreach { m =>

@@ -1,6 +1,5 @@
 package repro.mqtt
 
-import java.io.File
 import java.nio.file.Files
 import org.scalatest.funsuite.AnyFunSuite
 import scala.collection.mutable

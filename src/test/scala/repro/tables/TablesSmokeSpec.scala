@@ -1,5 +1,7 @@
 package repro.tables
 
+import java.nio.charset.StandardCharsets.UTF_8
+import java.nio.file.{Files, Paths}
 import repro.SparkSpec
 
 /** Fast smoke of the table harnesses at a tiny scale factor — the real
@@ -33,6 +35,19 @@ class TablesSmokeSpec extends SparkSpec {
     assert(res.gatewayOutageDetectMin.isDefined, "gateway outage missed")
     assert(res.exclusiveSensorClass.contains("gateway-outage"))
     assert(res.watchdogHealthyAtEnd)
+  }
+
+  test("T1, T3, T4 and T5 at SF=0.02, seed 7 render the golden rows") {
+    val (sf, seed) = (0.02, 7L)
+    // Same tables, order and separator as the benchmark's `analysis` pass.
+    val rendered = Seq(
+      Table1Integration.compute(spark, sf, seed).rendered,
+      Table3Battery.compute(spark, sf, seed).rendered,
+      Table4Co2Traffic.compute(spark, sf, seed).rendered,
+      Table5Calibration.compute(spark, sf, seed).rendered).mkString("\n\n")
+    val golden = new String(
+      Files.readAllBytes(Paths.get("perfbench/golden/analysis-seed7.txt")), UTF_8)
+    assert(rendered == golden)
   }
 
   test("TableFmt renders aligned tables") {

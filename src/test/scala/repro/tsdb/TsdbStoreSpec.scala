@@ -10,7 +10,6 @@ class TsdbStoreSpec extends SparkSpec {
     TsdbStore(Files.createTempDirectory("tsdb").toString + "/store")
 
   private def samplePoints(n: Int = 1000) = {
-    import spark.implicits._
     spark.range(n).select(
       lit("air.co2").as("metric"),
       (lit(1483228800L) + col("id") * 300).as("tsEpoch"),
