@@ -44,42 +44,50 @@ object Co2TrafficAnalysis {
       .orderBy(col("hourOfDay"))
   }
 
-  /** Hour of day at which a column's diurnal profile peaks. */
-  def diurnalPeakHour(aligned: DataFrame, c: String, tzOffsetHours: Int = 1): Int =
-    diurnalProfile(aligned, Seq(c), tzOffsetHours)
-      .orderBy(col(c).desc).select("hourOfDay").head().getInt(0)
+  /** Hour of day at which each column's diurnal profile peaks, from one
+    * profile over all of `cols`.
+    */
+  def diurnalPeakHours(aligned: DataFrame, cols: Seq[String],
+                       tzOffsetHours: Int = 1): Seq[Int] = {
+    val profile = diurnalProfile(aligned, cols, tzOffsetHours).collect()
+    cols.map(c => profile.maxBy(_.getAs[Double](c)).getAs[Int]("hourOfDay"))
+  }
+
+  /** Pearson correlation of each column pair, all in one job. */
+  private def corrs(df: DataFrame, pairs: Seq[(String, String)]): Seq[Double] = {
+    val r = df.select(pairs.map { case (a, b) => corr(col(a), col(b)) }: _*).head()
+    pairs.indices.map(r.getDouble)
+  }
 
   /** Pearson correlation of each pollutant with the jam factor. */
   def pollutantTrafficCorrelations(aligned: DataFrame,
                                    pollutants: Seq[String]): DataFrame = {
     val spark = aligned.sparkSession
     import spark.implicits._
-    val rows = pollutants.map { p =>
-      val c = aligned.agg(corr(col(p), col("jamFactor"))).head().getDouble(0)
-      (p, c)
-    }
-    rows.toDF("pollutant", "corrWithJamFactor")
+    pollutants.zip(corrs(aligned, pollutants.map(_ -> "jamFactor")))
+      .toDF("pollutant", "corrWithJamFactor")
   }
 
   /** Correlation of CO2 with jamFactor shifted by each lag (hours): a real
     * traffic→CO2 causal link would show up at small positive lags; the
-    * paper's data does not show one.
+    * paper's data does not show one. One row per requested lag, in the
+    * requested order; a lag with no overlapping hours has a null `corr`.
     */
   def laggedCorrelation(aligned: DataFrame, valueCol: String,
                         lagsHours: Seq[Int]): DataFrame = {
-    val spark = aligned.sparkSession
-    import spark.implicits._
-    val byDevice = aligned.select(col("deviceId"), col("windowStartEpoch"),
-      col(valueCol), col("jamFactor"))
-    val rows = lagsHours.map { lag =>
-      val shifted = byDevice.select(col("deviceId"),
-        (col("windowStartEpoch") + lag * 3600L).as("windowStartEpoch"),
-        col("jamFactor").as("jamLagged"))
-      val c = byDevice.join(shifted, Seq("deviceId", "windowStartEpoch"))
-        .agg(corr(col(valueCol), col("jamLagged"))).head().getDouble(0)
-      (lag, c)
-    }
-    rows.toDF("lagHours", "corr")
+    val byDevice = aligned.select(col("deviceId"), col("windowStartEpoch"), col(valueCol))
+    // One copy of each row per lag; `lagIdx` keeps the requested order.
+    val shifted = aligned.select(col("deviceId"), col("windowStartEpoch"),
+        col("jamFactor").as("jamLagged"),
+        posexplode(typedLit(lagsHours)).as(Seq("lagIdx", "lagHours")))
+      .withColumn("windowStartEpoch", col("windowStartEpoch") + col("lagHours") * 3600L)
+    // Left join: a lag past the horizon keeps its group, and corr skips the
+    // unmatched (null) rows, so it equals the inner join's value.
+    shifted.join(byDevice, Seq("deviceId", "windowStartEpoch"), "left")
+      .groupBy(col("lagIdx"), col("lagHours"))
+      .agg(corr(col(valueCol), col("jamLagged")).as("corr"))
+      .orderBy(col("lagIdx"))
+      .select(col("lagHours"), col("corr"))
   }
 
   /** Correlation of CO2 with every candidate driver — the "many factors"
@@ -91,8 +99,6 @@ object Co2TrafficAnalysis {
     val withHour = aligned.withColumn("hourOfDay",
       TemporalAlign.hourOfDay(col("windowStartEpoch"), 1).cast("double"))
     val factors = Seq("jamFactor", "tempC", "humidityPct", "hourOfDay")
-    factors.map { f =>
-      (f, withHour.agg(corr(col("co2Ppm"), col(f))).head().getDouble(0))
-    }.toDF("factor", "corrWithCo2")
+    factors.zip(corrs(withHour, factors.map("co2Ppm" -> _))).toDF("factor", "corrWithCo2")
   }
 }

@@ -26,7 +26,6 @@ object Table1Integration {
 
   def compute(spark: SparkSession, sf: Double, seed: Long = 7L): Result = {
     val readings = Pipeline.okReadingsCached(spark, sf, seed)
-    readings.count()
 
     // 1. Official air-quality measurements (NILU): grounding & calibration.
     val nilu = NiluStations.observations(spark, sf, seed).cache()
@@ -77,7 +76,7 @@ object Table1Integration {
       f"corr(counts, jam)=${cntCorr}%.3f during overlap", cntCorr)
 
     // 5. 3D city model (Vejle): pollutant surface onto buildings.
-    val buildings = CityModel.buildings(spark, Cities.Vejle, seed = seed).cache()
+    val buildings = CityModel.buildings(spark, Cities.Vejle, seed = seed)
     val nBuildings = buildings.count()
     val endEpoch = Schemas.EpochStart + Schemas.days(sf) * 86400L
     val agg = CityModelExport.sensorAggregates(
@@ -99,15 +98,17 @@ object Table1Integration {
       f"Trondheim estimate ${trdTotal}%.0f ktCO2e/yr (high uncertainty)", trdTotal)
 
     // 7. Other municipal data: land-use GIS classifying sensor context.
-    val landUse = MunicipalGis.landUseGrid(spark, Cities.Trondheim, seed = seed).cache()
+    val landUse = MunicipalGis.landUseGrid(spark, Cities.Trondheim, seed = seed)
     val luRows = landUse.count()
     val sensors = readings.select("deviceId", "city", "lat", "lon").distinct()
       .where(col("city") === Cities.Trondheim.name)
     val classified = MunicipalGis.classifySensors(sensors, landUse, Cities.Trondheim)
-    val mapped = classified.where(col("landUse") =!= "unmapped").count()
+    val tally = classified.agg(count(when(col("landUse") =!= "unmapped", 1)), count(lit(1)))
+      .head()
+    val (mapped, trdSensors) = (tally.getLong(0), tally.getLong(1))
     val r7 = SourceRow("Other municipal data", "land-use GIS grid", luRows,
       "static / ~100 m cell", "classify sensor sites by land use",
-      s"$mapped/12 Trondheim sensors classified", mapped.toDouble)
+      s"$mapped/$trdSensors Trondheim sensors classified", mapped.toDouble)
 
     val rows = Seq(r1, r2, r3, r4, r5, r6, r7)
     val rendered = TableFmt.render(
@@ -116,7 +117,7 @@ object Table1Integration {
       rows.map(r => Seq(r.sourceType, r.example, r.rowsIngested.toString,
         r.resolution, r.integration, r.measuredStat)))
     nilu.unpersist(); oco2.unpersist(); traffic.unpersist()
-    aligned.unpersist(); counts.unpersist(); buildings.unpersist(); landUse.unpersist()
+    aligned.unpersist(); counts.unpersist()
     Result(rows, rendered)
   }
 

@@ -20,7 +20,6 @@ object Table3Battery {
 
   def compute(spark: SparkSession, sf: Double, seed: Long = 7L): Result = {
     val readings = Pipeline.okReadingsCached(spark, sf, seed)
-    readings.count()
 
     val nodes = BatteryAnalysis.depletionEstimate(readings)
       .orderBy(col("deviceId")).collect().toSeq.map { r =>

@@ -42,8 +42,8 @@ object Table4Co2Traffic {
     val lags = Co2TrafficAnalysis.laggedCorrelation(aligned, "co2Ppm", Seq(-2, -1, 0, 1, 2))
       .collect().toSeq.map(r => LagRow(r.getInt(0), r.getDouble(1)))
 
-    val co2Peak = Co2TrafficAnalysis.diurnalPeakHour(aligned, "co2Ppm")
-    val jamPeak = Co2TrafficAnalysis.diurnalPeakHour(aligned, "jamFactor")
+    val Seq(co2Peak, jamPeak) =
+      Co2TrafficAnalysis.diurnalPeakHours(aligned, Seq("co2Ppm", "jamFactor"))
 
     traffic.unpersist(); aligned.unpersist()
 

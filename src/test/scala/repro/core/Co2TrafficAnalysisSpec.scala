@@ -1,13 +1,20 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
-import repro.{SparkSpec, TestData}
+import repro.{Oracle, SparkSpec, TestData}
 import repro.external.HereTraffic
 
 class Co2TrafficAnalysisSpec extends SparkSpec {
 
   private lazy val aligned = Co2TrafficAnalysis.alignHourly(
     TestData.readings, TestData.traffic, HereTraffic.linksDF(spark)).cache()
+
+  /** The aligned columns the statistics read, for DuckDB. */
+  private def alignedTable = "al" -> aligned.select("deviceId", "windowStartEpoch",
+    "co2Ppm", "no2Ugm3", "pm10Ugm3", "tempC", "humidityPct", "jamFactor")
+
+  private def duckCorr(a: String, b: String) =
+    s"corr(CAST($a AS DOUBLE), CAST($b AS DOUBLE))"
 
   test("alignHourly joins every sensor to a nearby link") {
     assert(aligned.select("deviceId").distinct().count() == 14)
@@ -38,8 +45,8 @@ class Co2TrafficAnalysisSpec extends SparkSpec {
   }
 
   test("diurnal profiles differ: CO2 peaks pre-dawn, traffic at rush hour") {
-    val co2Peak = Co2TrafficAnalysis.diurnalPeakHour(aligned, "co2Ppm")
-    val jamPeak = Co2TrafficAnalysis.diurnalPeakHour(aligned, "jamFactor")
+    val Seq(co2Peak, jamPeak) =
+      Co2TrafficAnalysis.diurnalPeakHours(aligned, Seq("co2Ppm", "jamFactor"))
     assert(co2Peak >= 2 && co2Peak <= 8, s"co2Peak=$co2Peak")
     assert((jamPeak >= 7 && jamPeak <= 9) || (jamPeak >= 15 && jamPeak <= 18),
       s"jamPeak=$jamPeak")
@@ -67,5 +74,55 @@ class Co2TrafficAnalysisSpec extends SparkSpec {
     val m = Co2TrafficAnalysis.co2FactorMatrix(aligned)
     assert(m.collect().map(_.getString(0)).toSet ==
       Set("jamFactor", "tempC", "humidityPct", "hourOfDay"))
+  }
+
+  test("diurnalPeakHours equals the argmax of diurnalProfile") {
+    val cols = Seq("co2Ppm", "no2Ugm3", "jamFactor")
+    val profile = Co2TrafficAnalysis.diurnalProfile(aligned, cols)
+    val argmax = cols.map(c => profile.orderBy(col(c).desc).head().getAs[Int]("hourOfDay"))
+    assert(Co2TrafficAnalysis.diurnalPeakHours(aligned, cols) == argmax)
+  }
+
+  test("laggedCorrelation equals DuckDB's corr over a per-lag self-join, in the requested order") {
+    val lags = Seq(2, -3, 0, 3, -1, 1, -2)
+    val got = Co2TrafficAnalysis.laggedCorrelation(aligned, "co2Ppm", lags)
+    assert(got.collect().map(_.getInt(0)).toSeq == lags)
+    Oracle.assertEquivalent(got,
+      s"""SELECT l.lagHours AS lagHours, ${duckCorr("a.co2Ppm", "b.jamFactor")} AS "corr"
+         |FROM range(-3, 4) l(lagHours)
+         |JOIN al b ON TRUE
+         |JOIN al a ON a.deviceId = b.deviceId
+         | AND CAST(a.windowStartEpoch AS BIGINT) =
+         |     CAST(b.windowStartEpoch AS BIGINT) + l.lagHours * 3600
+         |GROUP BY l.lagHours""".stripMargin,
+      alignedTable)
+  }
+
+  test("a lag past the horizon keeps its row, with a null corr") {
+    val rows = Co2TrafficAnalysis.laggedCorrelation(aligned, "co2Ppm", Seq(0, 24 * 365))
+      .collect()
+    assert(rows.map(_.getInt(0)).toSeq == Seq(0, 24 * 365))
+    assert(!rows(0).isNullAt(1))
+    assert(rows(1).isNullAt(1))
+  }
+
+  test("pollutantTrafficCorrelations equals DuckDB's corr") {
+    val pollutants = Seq("co2Ppm", "no2Ugm3", "pm10Ugm3")
+    Oracle.assertEquivalent(
+      Co2TrafficAnalysis.pollutantTrafficCorrelations(aligned, pollutants),
+      pollutants.map(p => s"SELECT '$p' AS pollutant, ${duckCorr(p, "jamFactor")} " +
+        "AS corrWithJamFactor FROM al").mkString(" UNION ALL "),
+      alignedTable)
+  }
+
+  test("co2FactorMatrix equals DuckDB's corr") {
+    val hourOfDay = "((CAST(windowStartEpoch AS BIGINT) + 3600) % 86400) // 3600"
+    Oracle.assertEquivalent(
+      Co2TrafficAnalysis.co2FactorMatrix(aligned),
+      Seq("jamFactor" -> "jamFactor", "tempC" -> "tempC", "humidityPct" -> "humidityPct",
+        "hourOfDay" -> hourOfDay)
+        .map { case (f, e) => s"SELECT '$f' AS factor, ${duckCorr("co2Ppm", e)} " +
+          "AS corrWithCo2 FROM al" }.mkString(" UNION ALL "),
+      alignedTable)
   }
 }
