@@ -9,7 +9,7 @@ import repro.tables._
   */
 object JobSession {
   def build(name: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.shuffle.partitions",

@@ -36,10 +36,6 @@ object BatteryAnalysis {
         sunSinceUdf(col("city"), col("lat"), col("prevTs"), col("tsEpoch")))
   }
 
-  /** Fig 4 left as data: hourly mean battery level per node. */
-  def levelSeries(readings: DataFrame): DataFrame =
-    TemporalAlign.resampleMean(readings, Seq("deviceId", "city"), Seq("batteryPct"), 60)
-
   /** Fig 4 right as data: mean Δlevel per (hourOfDay, sunSincePrev) with
     * spread — the red/blue scatter reduced to its summary statistics.
     */

@@ -12,10 +12,7 @@ object Calibration {
 
   /** An OLS fit y ≈ slope·x + intercept with fit diagnostics. */
   final case class Fit(slope: Double, intercept: Double, r2: Double,
-                       rmse: Double, meanBias: Double, n: Long) {
-    /** Invert the sensor response: estimate truth from a raw sensor value. */
-    def calibrate(raw: Double): Double = slope * raw + intercept
-  }
+                       rmse: Double, meanBias: Double, n: Long)
 
   /** Fit truth (`yCol`, reference) from sensor (`xCol`, raw) via single-pass
     * moment aggregation — no per-row iteration.

@@ -1,54 +1,14 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 /** Identification of outliers and malfunctioning sensors (§2.4) — the
-  * analysis-level complement of the dataport's liveness monitoring.
-  *
-  * Three detectors: robust per-point outliers (MAD z-score against the
-  * fleet's city-hour consensus), stuck sensors (flat-lined output), and
-  * decaying sensors (per-day drift of the sensor-minus-consensus residual).
+  * analysis-level complement of the dataport's liveness monitoring: a
+  * decaying sensor shows as a per-day drift of its residual against the
+  * fleet's city-hour consensus.
   */
 object OutlierDetection {
-
-  /** Per-point robust z-scores of `valueCol` against the same-city, same
-    * hourly window consensus (median/MAD over the other sensors). Rows with
-    * fewer than 3 peers get null z-scores.
-    */
-  def madZScores(readings: DataFrame, valueCol: String): DataFrame = {
-    val hourly = readings.withColumn("windowStartEpoch",
-      TemporalAlign.windowStart(col("tsEpoch"), 60))
-    val w = Window.partitionBy(col("city"), col("windowStartEpoch"))
-    // Leave-one-out consensus is overkill at fleet size 14; plain group
-    // median is robust to a single bad sensor by construction.
-    val withMed = hourly
-      .withColumn("med", expr(s"percentile_approx($valueCol, 0.5, 10000)").over(w))
-      .withColumn("absDev", abs(col(valueCol) - col("med")))
-      .withColumn("mad", expr("percentile_approx(absDev, 0.5, 10000)").over(w))
-      .withColumn("nPeers", count(lit(1)).over(w))
-    withMed.withColumn("madZ",
-      when(col("nPeers") < 3 || col("mad") <= lit(1e-9), lit(null).cast("double"))
-        .otherwise((col(valueCol) - col("med")) / (lit(1.4826) * col("mad"))))
-  }
-
-  /** Outlier points: |MAD z| above `threshold`. */
-  def outlierPoints(readings: DataFrame, valueCol: String, threshold: Double = 4.0): DataFrame =
-    madZScores(readings, valueCol).where(abs(col("madZ")) > threshold)
-
-  /** Stuck sensors: the trailing `window` readings have (near-)zero standard
-    * deviation — a flat-lined ADC or a frozen node. Returns flagged rows.
-    */
-  def stuckRuns(readings: DataFrame, valueCol: String, window: Int = 12,
-                eps: Double = 1e-6): DataFrame = {
-    val w = Window.partitionBy(col("deviceId")).orderBy(col("tsEpoch"))
-      .rowsBetween(-(window - 1), Window.currentRow)
-    readings
-      .withColumn("trailingStd", stddev_samp(col(valueCol)).over(w))
-      .withColumn("trailingN", count(lit(1)).over(w))
-      .where(col("trailingN") >= window && col("trailingStd") <= eps)
-  }
 
   /** Decaying-sensor detection: per device, OLS slope (per day) of the
     * residual against the city-hour consensus, *after* removing the device's

@@ -64,26 +64,6 @@ object Schemas {
       pressureHpa: Double,
       batteryPct: Double)
 
-  /** Fully decoded, validated, deduplicated, metadata-enriched reading —
-    * the output row of the streaming ETL and the unit of all analytics.
-    */
-  final case class Reading(
-      deviceId: String,
-      city: String,
-      lat: Double,
-      lon: Double,
-      tsEpoch: Long,
-      co2Ppm: Double,
-      no2Ugm3: Double,
-      pm10Ugm3: Double,
-      pm25Ugm3: Double,
-      tempC: Double,
-      humidityPct: Double,
-      pressureHpa: Double,
-      batteryPct: Double,
-      intervalMin: Int,
-      qualityFlag: String)
-
   /** JSON schema of packets on the MQTT→file bridge (ingestion source). */
   val packetSchema: StructType = StructType(Seq(
     StructField("deviceId", StringType, nullable = false),

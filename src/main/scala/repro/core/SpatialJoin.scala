@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 /** Spatial integration of sensors with external sources: nearest official
@@ -27,10 +26,7 @@ object SpatialJoin {
       .withColumn("distKm",
         GeoFunctions.haversineKmCol(col("lat"), col("lon"), col("_rlat"), col("_rlon")))
       .where(col("distKm") <= maxKm)
-    val w = Window.partitionBy(col(leftKey)).orderBy(col("distKm"), col(rightKey))
-    joined.withColumn("_rank", row_number().over(w))
-      .where(col("_rank") === 1)
-      .drop("_rank", "_rlat", "_rlon")
+    firstPerKey(joined, leftKey, col("distKm"), col(rightKey)).drop("_rlat", "_rlon")
   }
 
   /** Inverse-distance-weighted interpolation of sensor values onto target

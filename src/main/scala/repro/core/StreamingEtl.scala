@@ -9,7 +9,8 @@ import repro.tsdb.TsdbStore
 
 /** The ingestion pipeline of Fig 1: received LoRaWAN packets (as forwarded
   * onto the MQTT→file bridge) are decoded, validated, deduplicated across
-  * gateways, and enriched with fleet metadata into [[Schemas.Reading]] rows.
+  * gateways, and enriched with fleet metadata into one reading row per
+  * frame, the unit of all analytics.
   *
   * One transformation, two drivers: [[batch]] for historic reprocessing and
   * [[startStream]] for Structured Streaming ingestion into the TSDB — the
@@ -29,8 +30,10 @@ object StreamingEtl {
   /** Decode → validate → dedup → enrich. Works unchanged on batch and
     * streaming DataFrames with [[Schemas.packetSchema]].
     *
-    * Output columns: Reading fields + `ts` (event-time timestamp) +
-    * `gatewayId`/`rssi` of the surviving copy.
+    * Output columns: deviceId, city, lat, lon, tsEpoch, `ts` (event-time
+    * timestamp), the eight measured quantities (co2Ppm, no2Ugm3, pm10Ugm3,
+    * pm25Ugm3, tempC, humidityPct, pressureHpa, batteryPct), intervalMin,
+    * qualityFlag, and `gatewayId`/`rssi` of the surviving copy.
     */
   def transform(packets: DataFrame, fleet: DataFrame): DataFrame = {
     val decoded = packets

@@ -16,7 +16,7 @@ import scala.collection.mutable
   */
 class Broker {
 
-  final case class Subscription(filter: String, callback: (String, String) => Unit)
+  import Broker.Subscription
 
   private val subs = mutable.ArrayBuffer.empty[Subscription]
   private val retained = mutable.LinkedHashMap.empty[String, String]
@@ -54,6 +54,10 @@ class Broker {
   def unsubscribe(s: Subscription): Unit = synchronized { subs -= s }
 
   def publishedCount: Long = published.get()
+}
+
+object Broker {
+  final case class Subscription(filter: String, callback: (String, String) => Unit)
 }
 
 /** Bridges a broker topic filter into JSON-lines files under `dir`, the

@@ -27,6 +27,8 @@ object Table1Integration {
   def compute(spark: SparkSession, sf: Double, seed: Long = 7L): Result = {
     val readings = Pipeline.okReadingsCached(spark, sf, seed)
 
+    // A table caches a DataFrame only when two or more actions read it.
+
     // 1. Official air-quality measurements (NILU): grounding & calibration.
     val nilu = NiluStations.observations(spark, sf, seed).cache()
     val niluRows = nilu.count()
@@ -52,7 +54,7 @@ object Table1Integration {
     val traffic = HereTraffic.jamFactors(spark, sf, seed).cache()
     val trafficRows = traffic.count()
     val aligned = Co2TrafficAnalysis.alignHourly(readings, traffic,
-      HereTraffic.linksDF(spark)).cache()
+      HereTraffic.linksDF(spark))
     val no2Corr = aligned.agg(corr(col("no2Ugm3"), col("jamFactor"))).head().getDouble(0)
     val r3 = SourceRow("Traffic data", "here.com jam factor", trafficRows,
       "5-min / 9 links", "nearest-link join; NO2-traffic correlation",
@@ -116,8 +118,7 @@ object Table1Integration {
       Seq("Type", "Example", "Rows", "Resolution", "Integration", "Measured"),
       rows.map(r => Seq(r.sourceType, r.example, r.rowsIngested.toString,
         r.resolution, r.integration, r.measuredStat)))
-    nilu.unpersist(); oco2.unpersist(); traffic.unpersist()
-    aligned.unpersist(); counts.unpersist()
+    nilu.unpersist(); oco2.unpersist(); traffic.unpersist(); counts.unpersist()
     Result(rows, rendered)
   }
 

@@ -27,10 +27,9 @@ object Table4Co2Traffic {
 
   def compute(spark: SparkSession, sf: Double, seed: Long = 7L): Result = {
     val readings = Pipeline.okReadingsCached(spark, sf, seed)
-    val traffic = HereTraffic.jamFactors(spark, sf, seed).cache()
-    val aligned = Co2TrafficAnalysis.alignHourly(readings, traffic,
-      HereTraffic.linksDF(spark)).cache()
-    aligned.count()
+    // A table caches a DataFrame only when two or more actions read it.
+    val aligned = Co2TrafficAnalysis.alignHourly(readings,
+      HereTraffic.jamFactors(spark, sf, seed), HereTraffic.linksDF(spark)).cache()
 
     val corrs = Co2TrafficAnalysis.pollutantTrafficCorrelations(aligned,
       Seq("co2Ppm", "no2Ugm3", "pm10Ugm3")).collect().toSeq
@@ -45,7 +44,7 @@ object Table4Co2Traffic {
     val Seq(co2Peak, jamPeak) =
       Co2TrafficAnalysis.diurnalPeakHours(aligned, Seq("co2Ppm", "jamFactor"))
 
-    traffic.unpersist(); aligned.unpersist()
+    aligned.unpersist()
 
     val t1 = TableFmt.render(
       f"CO2 dynamics vs traffic (Fig 5), SF=$sf%.2f — hourly, nearest link",

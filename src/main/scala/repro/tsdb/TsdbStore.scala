@@ -2,7 +2,7 @@ package repro.tsdb
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.TemporalAlign
+import repro.core.{TemporalAlign, firstPerKey}
 
 /** OpenTSDB-like time-series store over time-partitioned Parquet.
   *
@@ -67,14 +67,9 @@ final case class TsdbStore(path: String) {
   }
 
   /** Latest point per device for a metric (dashboard "real-time" panel). */
-  def latest(spark: SparkSession, metric: String): DataFrame = {
-    import org.apache.spark.sql.expressions.Window
-    val w = Window.partitionBy(col("deviceId")).orderBy(col("tsEpoch").desc)
-    load(spark).where(col("metric") === metric)
-      .withColumn("rn", row_number().over(w))
-      .where(col("rn") === 1)
+  def latest(spark: SparkSession, metric: String): DataFrame =
+    firstPerKey(load(spark).where(col("metric") === metric), "deviceId", col("tsEpoch").desc)
       .select("metric", "deviceId", "city", "tsEpoch", "value")
-  }
 
   /** Distinct metrics currently stored. */
   def metrics(spark: SparkSession): Seq[String] =

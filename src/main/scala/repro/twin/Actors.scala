@@ -35,12 +35,16 @@ final class ActorContext private[twin] (val system: ActorSystem, val self: Actor
   def stop(ref: ActorRef): Unit = system.stop(ref)
 }
 
-final class ActorSystem(val name: String) {
-
+object ActorSystem {
   private final case class Cell(ref: ActorRef, factory: () => Actor,
                                 var behavior: Actor, parent: Option[ActorRef],
                                 children: mutable.LinkedHashSet[ActorRef],
                                 var restarts: Int)
+}
+
+final class ActorSystem(val name: String) {
+
+  import ActorSystem.Cell
 
   private val cells = mutable.LinkedHashMap.empty[String, Cell]
   private val mailbox = mutable.Queue.empty[(ActorRef, Any)]

@@ -42,8 +42,6 @@ object DataportProtocol {
                                 packets: Long, frameGaps: Long)
   final case class GatewayStatus(gatewayId: String, city: String, lat: Double, lon: Double,
                                  lastSeenEpoch: Long, alarmed: Boolean, packets: Long)
-  final case class LinkStatus(deviceId: String, gatewayId: String, packets: Long,
-                              avgRssi: Double, lastSeenEpoch: Long)
 }
 
 /** The network-metadata monitoring application of §2.3: "each device in the
@@ -81,7 +79,6 @@ final class Dataport(fleet: Seq[SensorNode], gateways: Seq[Gateway],
     var packets = 0L
     var frameGaps = 0L
     val recentGateways = mutable.Queue.empty[String]
-    val linkPackets = mutable.LinkedHashMap.empty[String, (Long, Double, Long)] // gw -> (n, rssiSum, lastSeen)
   }
   private final class GatewayState(val gw: Gateway) {
     var lastSeen: Long = 0L
@@ -110,8 +107,6 @@ final class Dataport(fleet: Seq[SensorNode], gateways: Seq[Gateway],
         s.packets += 1
         s.recentGateways.enqueue(p.gatewayId)
         while (s.recentGateways.size > 12) s.recentGateways.dequeue()
-        val (n, rssiSum, _) = s.linkPackets.getOrElse(p.gatewayId, (0L, 0.0, 0L))
-        s.linkPackets(p.gatewayId) = (n + 1, rssiSum + p.rssi, p.tsEpoch)
         if (s.alarmed) {
           s.alarmed = false
           ctx.parent.foreach(ctx.send(_, SensorRecovered(deviceId, p.tsEpoch)))
@@ -262,13 +257,6 @@ final class Dataport(fleet: Seq[SensorNode], gateways: Seq[Gateway],
   def gatewayStatuses: Seq[GatewayStatus] = gateways.map { g =>
     val s = gatewayStates(g.gatewayId)
     GatewayStatus(g.gatewayId, g.city, g.lat, g.lon, s.lastSeen, s.alarmed, s.packets)
-  }
-
-  def linkStatuses: Seq[LinkStatus] = fleet.flatMap { n =>
-    val s = sensorStates(n.deviceId)
-    s.linkPackets.toSeq.map { case (gw, (cnt, rssiSum, last)) =>
-      LinkStatus(n.deviceId, gw, cnt, rssiSum / cnt, last)
-    }
   }
 
   def backendDown: Boolean = backendAlarmed

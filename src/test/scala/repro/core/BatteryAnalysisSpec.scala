@@ -29,12 +29,6 @@ class BatteryAnalysisSpec extends SparkSpec {
     assert(bySun(true) > bySun(false), "sunlit intervals beat dark ones")
   }
 
-  test("levelSeries is hourly per device") {
-    val ls = BatteryAnalysis.levelSeries(readings)
-    val perDevHours = ls.groupBy("deviceId").count().agg(min("count")).head().getLong(0)
-    assert(perDevHours >= 90, s"hours per device=$perDevHours (4-day fixture)")
-  }
-
   test("deltaByHour: no-sun rows dominate the January night hours") {
     val rows = BatteryAnalysis.deltaByHour(readings).collect()
     val midnightSun = rows.find(r => r.getAs[Int]("hourOfDay") == 0 &&

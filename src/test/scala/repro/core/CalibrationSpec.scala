@@ -53,11 +53,6 @@ class CalibrationSpec extends SparkSpec {
     }
   }
 
-  test("calibrate inverts the sensor response") {
-    val fit = Calibration.Fit(slope = 2.0, intercept = 5.0, r2 = 1, rmse = 0, meanBias = 0, n = 10)
-    assert(fit.calibrate(10.0) == 25.0)
-  }
-
   test("apply adds the calibrated column") {
     val fit = Calibration.fitOls(linearPairs, "x", "y")
     val out = Calibration.apply(linearPairs, "x", fit, "cal")

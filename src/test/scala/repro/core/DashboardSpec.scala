@@ -35,6 +35,9 @@ class DashboardSpec extends SparkSpec {
     assert(p.count() == 9)
     val classes = p.select("flowClass").distinct().collect().map(_.getString(0)).toSet
     assert(classes.subsetOf(Set("free", "moderate", "congested", "blocked")))
+    val maxTs = TestData.traffic.groupBy("linkId").agg(max("tsEpoch")).collect()
+      .map(r => r.getString(0) -> r.getLong(1)).toMap
+    assert(p.collect().map(r => r.getAs[String]("linkId") -> r.getAs[Long]("tsEpoch")).toMap == maxTs)
   }
 
   test("trafficPanel classes respect the jam thresholds") {

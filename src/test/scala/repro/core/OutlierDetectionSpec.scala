@@ -1,67 +1,9 @@
 package repro.core
 
-import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestData}
 import repro.iot.SensorFleet
 
 class OutlierDetectionSpec extends SparkSpec {
-
-  /** 5 sensors, one hour-window, one wild value. */
-  private def smallFleet = {
-    import spark.implicits._
-    val base = for {
-      d <- 1 to 5; m <- 0 until 12
-    } yield (s"dev-$d", "Trondheim", Schemas.EpochStart + m * 300L,
-      if (d == 5 && m == 6) 500.0 else 20.0 + d)
-    base.toDF("deviceId", "city", "tsEpoch", "no2Ugm3")
-  }
-
-  test("madZScores flags the wild value") {
-    val z = OutlierDetection.madZScores(smallFleet, "no2Ugm3")
-    val wild = z.where(col("no2Ugm3") === 500.0).head()
-    assert(wild.getAs[Double]("madZ") > 10.0)
-  }
-
-  test("madZScores gives sane scores to normal values") {
-    val z = OutlierDetection.madZScores(smallFleet, "no2Ugm3")
-    val normal = z.where(col("no2Ugm3") < 100).agg(max(abs(col("madZ")))).head().getDouble(0)
-    assert(normal < 4.0, s"max normal z=$normal")
-  }
-
-  test("outlierPoints returns only the wild rows") {
-    val out = OutlierDetection.outlierPoints(smallFleet, "no2Ugm3", 4.0)
-    assert(out.count() == 1)
-    assert(out.head().getAs[String]("deviceId") == "dev-5")
-  }
-
-  test("madZ is null when there are too few peers") {
-    import spark.implicits._
-    val lone = Seq(("d1", "Vejle", Schemas.EpochStart, 10.0),
-      ("d2", "Vejle", Schemas.EpochStart, 11.0))
-      .toDF("deviceId", "city", "tsEpoch", "no2Ugm3")
-    val z = OutlierDetection.madZScores(lone, "no2Ugm3")
-    assert(z.where(col("madZ").isNotNull).count() == 0)
-  }
-
-  test("stuckRuns detects a flat-lined sensor") {
-    import spark.implicits._
-    val rows = (0 until 30).map(i =>
-      ("stuck", "Trondheim", Schemas.EpochStart + i * 300L, 42.0)) ++
-      (0 until 30).map(i =>
-        ("alive", "Trondheim", Schemas.EpochStart + i * 300L, 42.0 + i * 0.5))
-    val df = rows.toDF("deviceId", "city", "tsEpoch", "no2Ugm3")
-    val stuck = OutlierDetection.stuckRuns(df, "no2Ugm3", window = 12)
-    assert(stuck.select("deviceId").distinct().collect().map(_.getString(0)).toSeq ==
-      Seq("stuck"))
-  }
-
-  test("stuckRuns needs a full window before flagging") {
-    import spark.implicits._
-    val rows = (0 until 5).map(i =>
-      ("s", "Trondheim", Schemas.EpochStart + i * 300L, 42.0))
-    val df = rows.toDF("deviceId", "city", "tsEpoch", "no2Ugm3")
-    assert(OutlierDetection.stuckRuns(df, "no2Ugm3", window = 12).count() == 0)
-  }
 
   test("residualDrift: a drifting sensor shows a positive slope") {
     import spark.implicits._

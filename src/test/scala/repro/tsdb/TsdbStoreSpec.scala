@@ -103,11 +103,17 @@ class TsdbStoreSpec extends SparkSpec {
 
   test("latest returns one row per device with the max timestamp") {
     val store = freshStore()
-    store.put(samplePoints())
-    val latest = store.latest(spark, "air.co2").collect()
-    assert(latest.length == 4)
-    val expected = 1483228800L + 999 * 300
-    assert(latest.map(_.getAs[Long]("tsEpoch")).max == expected)
+    val pts = samplePoints().cache()
+    store.put(pts)
+    val latest = store.latest(spark, "air.co2")
+    assert(latest.count() == 4)
+    // Oracle tables are VARCHAR, hence the casts.
+    Oracle.assertEquivalent(latest,
+      """SELECT 'air.co2' AS metric, deviceId, city, tsEpoch, CAST(value AS DOUBLE) AS value
+        |FROM (SELECT *, row_number() OVER (PARTITION BY deviceId
+        |                                   ORDER BY CAST(tsEpoch AS BIGINT) DESC) AS rn
+        |      FROM pts) WHERE rn = 1""".stripMargin,
+      "pts" -> pts)
   }
 
   test("metrics lists stored metrics sorted") {
