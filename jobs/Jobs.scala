@@ -16,6 +16,8 @@ object JobSession {
         sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       // A T1/T3/T4/T5 pass uses ~300 generated classes; the default 100 evicts them.
       .config("spark.sql.codegen.cache.maxEntries", 1000)
+      // A listing job costs one task per path; a local stat on the driver is cheaper.
+      .config("spark.sql.sources.parallelPartitionDiscovery.threshold", Int.MaxValue)
       .getOrCreate()
   def sf(args: Array[String]): Double =
     args.headOption.map(_.toDouble).getOrElse(0.1)

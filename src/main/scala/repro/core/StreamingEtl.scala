@@ -85,6 +85,8 @@ object StreamingEtl {
     * readings into the time-series store, micro-batch by micro-batch.
     * `Trigger.AvailableNow` drains everything currently on the bridge and
     * stops — call repeatedly (or swap the trigger) for continuous operation.
+    * Each micro-batch's new files are listed on the driver, not by a Spark
+    * job (see `JobSession.build`).
     */
   def startStream(spark: SparkSession, inputDir: String, checkpointDir: String,
                   store: TsdbStore, fleet: DataFrame,

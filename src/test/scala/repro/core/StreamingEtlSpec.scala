@@ -1,7 +1,12 @@
 package repro.core
 
 import java.nio.file.Files
+import java.util.concurrent.ConcurrentLinkedQueue
+import scala.jdk.CollectionConverters._
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions._
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.{Seconds, Span}
 import repro.{Oracle, SparkSpec, TestData}
 import repro.core.Schemas.Quality
 import repro.iot.SensorFleet
@@ -94,6 +99,50 @@ class StreamingEtlSpec extends SparkSpec {
     val batch = StreamingEtl.okOnly(StreamingEtl.batch(spark, bridgeDir.toString, fleet)).count()
     assert(streamed == batch, s"stream=$streamed batch=$batch")
     assert(streamed > 0)
+  }
+
+  test("a micro-batch of more than 32 bridge files is listed on the driver") {
+    val work = Files.createTempDirectory("etl-files").toFile
+    val bridgeDir = new java.io.File(work, "bridge")
+    val broker = new Broker
+    // 2 000 packets at 40 a file: 50 files, over Spark's default threshold
+    // of 32 paths for listing them with a parallel job.
+    val bridge = new FileBridge(broker, "ctt/up/#", bridgeDir, rollEvery = 40)
+    packets.limit(2000).toJSON.collect().foreach(j => broker.publish("ctt/up/x", j))
+    bridge.close()
+    assert(bridgeDir.list().count(_.startsWith("bridge_")) == 50)
+
+    val descriptions = new ConcurrentLinkedQueue[String]
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        descriptions.add(Option(e.properties)
+          .flatMap(p => Option(p.getProperty("spark.job.description")))
+          .getOrElse(""))
+    }
+    val sc = spark.sparkContext
+    val store = TsdbStore(new java.io.File(work, "tsdb").toString)
+    sc.addSparkListener(listener)
+    try {
+      StreamingEtl.startStream(spark, bridgeDir.toString,
+        new java.io.File(work, "chk").toString, store, fleet).awaitTermination()
+      // The bus delivers events in order: once the sentinel is seen, so is
+      // every job of the query.
+      sc.setJobDescription("sentinel")
+      try sc.parallelize(Seq(1), 1).count() finally sc.setJobDescription(null)
+      eventually(timeout(Span(30, Seconds))) { assert(descriptions.contains("sentinel")) }
+    } finally sc.removeSparkListener(listener)
+    val listings = descriptions.asScala.filter(_.startsWith("Listing leaf files and directories"))
+    assert(listings.isEmpty, s"listing jobs: ${listings.mkString("; ")}")
+
+    val stored = store.points(spark)
+    // Materialised: on Spark 4.1.2, `exceptAll` with this melt plan on its
+    // left fails to bind `tsEpoch` (INTERNAL_ERROR_ATTRIBUTE_NOT_FOUND).
+    val expected = TsdbStore.meltReadings(
+      StreamingEtl.okOnly(StreamingEtl.batch(spark, bridgeDir.toString, fleet)),
+      TsdbStore.StandardMetrics).localCheckpoint()
+    assert(stored.select("metric").distinct().count() == 8)
+    assert(stored.exceptAll(expected).isEmpty)
+    assert(expected.exceptAll(stored).isEmpty)
   }
 
   test("streaming dedups across micro-batch file boundaries") {
