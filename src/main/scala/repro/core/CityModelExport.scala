@@ -22,12 +22,13 @@ object CityModelExport {
       .agg(avg(col("no2Ugm3")).as("no2Ugm3"), avg(col("pm10Ugm3")).as("pm10Ugm3"),
            avg(col("pm25Ugm3")).as("pm25Ugm3"), avg(col("co2Ppm")).as("co2Ppm"))
 
-  /** Building-level pollutant surface with CAQI bands. */
-  def buildingLevels(buildings: DataFrame, sensorAgg: DataFrame,
-                     radiusKm: Double = 5.0): DataFrame = {
+  /** Building-level pollutant surface with CAQI bands, interpolated from
+    * the sensors within 5 km of each building.
+    */
+  def buildingLevels(buildings: DataFrame, sensorAgg: DataFrame): DataFrame = {
     val interpolated = SpatialJoin.idwInterpolate(
       buildings.select("buildingId", "lat", "lon"), "buildingId",
-      sensorAgg, Seq("no2Ugm3", "pm10Ugm3", "pm25Ugm3", "co2Ppm"), radiusKm)
+      sensorAgg, Seq("no2Ugm3", "pm10Ugm3", "pm25Ugm3", "co2Ppm"), 5.0)
     interpolated
       .join(buildings.select("buildingId", "city", "heightM", "use"), Seq("buildingId"))
       .withColumn("caqi", Aqi.siteIndexCol(col("no2Ugm3"), col("pm10Ugm3"), col("pm25Ugm3")))

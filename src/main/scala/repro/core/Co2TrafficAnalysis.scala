@@ -11,6 +11,9 @@ import org.apache.spark.sql.functions._
   */
 object Co2TrafficAnalysis {
 
+  private val MaxLinkKm = 2.0
+  private val TzOffsetHours = 1 // both cities are on CET
+
   /** Hourly alignment of sensor pollutants with the jam factor of the
     * nearest traffic link.
     *
@@ -18,10 +21,9 @@ object Co2TrafficAnalysis {
     * `links`: (linkId, lat, lon) dimension. Output one row per
     * (deviceId, hourly window) with pollutant means and jamFactor.
     */
-  def alignHourly(readings: DataFrame, traffic: DataFrame, links: DataFrame,
-                  maxLinkKm: Double = 2.0): DataFrame = {
+  def alignHourly(readings: DataFrame, traffic: DataFrame, links: DataFrame): DataFrame = {
     val sensors = readings.select("deviceId", "city", "lat", "lon").distinct()
-    val sensorLink = SpatialJoin.nearest(sensors, "deviceId", links, "linkId", maxLinkKm)
+    val sensorLink = SpatialJoin.nearest(sensors, "deviceId", links, "linkId", MaxLinkKm)
       .select(col("deviceId"), col("linkId"), col("distKm").as("linkDistKm"))
     val hourlySensor = TemporalAlign.resampleMean(readings,
       Seq("deviceId", "city"), Seq("co2Ppm", "no2Ugm3", "pm10Ugm3", "tempC", "humidityPct"), 60)
@@ -34,11 +36,10 @@ object Co2TrafficAnalysis {
   /** Mean diurnal profile (hour of day 0..23) of selected columns —
     * the "different patterns" evidence of Fig 5.
     */
-  def diurnalProfile(aligned: DataFrame, cols: Seq[String],
-                     tzOffsetHours: Int = 1): DataFrame = {
+  def diurnalProfile(aligned: DataFrame, cols: Seq[String]): DataFrame = {
     val aggs = cols.map(c => avg(col(c)).as(c))
     aligned
-      .withColumn("hourOfDay", TemporalAlign.hourOfDay(col("windowStartEpoch"), tzOffsetHours))
+      .withColumn("hourOfDay", TemporalAlign.hourOfDay(col("windowStartEpoch"), TzOffsetHours))
       .groupBy(col("hourOfDay"))
       .agg(aggs.head, aggs.tail: _*)
       .orderBy(col("hourOfDay"))
@@ -47,9 +48,8 @@ object Co2TrafficAnalysis {
   /** Hour of day at which each column's diurnal profile peaks, from one
     * profile over all of `cols`.
     */
-  def diurnalPeakHours(aligned: DataFrame, cols: Seq[String],
-                       tzOffsetHours: Int = 1): Seq[Int] = {
-    val profile = diurnalProfile(aligned, cols, tzOffsetHours).collect()
+  def diurnalPeakHours(aligned: DataFrame, cols: Seq[String]): Seq[Int] = {
+    val profile = diurnalProfile(aligned, cols).collect()
     cols.map(c => profile.maxBy(_.getAs[Double](c)).getAs[Int]("hourOfDay"))
   }
 
@@ -97,7 +97,7 @@ object Co2TrafficAnalysis {
     val spark = aligned.sparkSession
     import spark.implicits._
     val withHour = aligned.withColumn("hourOfDay",
-      TemporalAlign.hourOfDay(col("windowStartEpoch"), 1).cast("double"))
+      TemporalAlign.hourOfDay(col("windowStartEpoch"), TzOffsetHours).cast("double"))
     val factors = Seq("jamFactor", "tempC", "humidityPct", "hourOfDay")
     factors.zip(corrs(withHour, factors.map("co2Ppm" -> _))).toDF("factor", "corrWithCo2")
   }

@@ -43,9 +43,8 @@ object OutlierDetection {
         count(lit(1)).as("nWindows"))
   }
 
-  /** Devices whose residual drifts faster than `slopeThreshold` per day. */
-  def decayingSensors(readings: DataFrame, valueCol: String,
-                      slopeThreshold: Double = 0.3): DataFrame =
+  /** Devices whose residual drifts faster than 0.3 units per day. */
+  def decayingSensors(readings: DataFrame, valueCol: String): DataFrame =
     residualDrift(readings, valueCol)
-      .where(abs(col("residualSlopePerDay")) > slopeThreshold)
+      .where(abs(col("residualSlopePerDay")) > 0.3)
 }

@@ -22,9 +22,8 @@ object Pipeline {
   /** Batch readings at a scale factor: simulate, transmit, run the ETL
     * transform in memory — the fast path for analytics tests.
     */
-  def readings(spark: SparkSession, sf: Double, seed: Long = 7L,
-               outages: Seq[OutageWindow] = Seq.empty): DataFrame =
-    StreamingEtl.transform(receivedPackets(spark, sf, seed, outages).toDF(),
+  def readings(spark: SparkSession, sf: Double, seed: Long = 7L): DataFrame =
+    StreamingEtl.transform(receivedPackets(spark, sf, seed).toDF(),
       SensorFleet.toDF(spark, seed))
 
   /** Validated readings only — most analytics start here. */
@@ -51,9 +50,8 @@ object Pipeline {
   /** Materialize the bridge directory the production MQTT forwarder would
     * fill: received packets as JSON-lines files. Returns the packet count.
     */
-  def writeBridge(spark: SparkSession, sf: Double, seed: Long, bridgeDir: String,
-                  outages: Seq[OutageWindow] = Seq.empty): Long = {
-    val packets = receivedPackets(spark, sf, seed, outages).toDF().cache()
+  def writeBridge(spark: SparkSession, sf: Double, seed: Long, bridgeDir: String): Long = {
+    val packets = receivedPackets(spark, sf, seed).toDF().cache()
     val n = packets.count()
     packets.write.mode("overwrite").json(bridgeDir)
     packets.unpersist()

@@ -5,8 +5,8 @@ import org.apache.spark.sql.types._
 /** Record types flowing through the CTT reproduction pipeline.
   *
   * Epoch seconds (`Long`) are the canonical on-the-wire time representation;
-  * DataFrame stages derive proper `TimestampType` columns from them so
-  * window/watermark operators work on event time.
+  * DataFrame stages derive dates from them where they partition or report
+  * by day.
   */
 object Schemas {
 

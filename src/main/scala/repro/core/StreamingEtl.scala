@@ -30,15 +30,15 @@ object StreamingEtl {
   /** Decode → validate → dedup → enrich. Works unchanged on batch and
     * streaming DataFrames with [[Schemas.packetSchema]].
     *
-    * Output columns: deviceId, city, lat, lon, tsEpoch, `ts` (event-time
-    * timestamp), the eight measured quantities (co2Ppm, no2Ugm3, pm10Ugm3,
-    * pm25Ugm3, tempC, humidityPct, pressureHpa, batteryPct), intervalMin,
-    * qualityFlag, and `gatewayId`/`rssi` of the surviving copy.
+    * Output columns: deviceId, city, lat, lon, tsEpoch, the eight measured
+    * quantities (co2Ppm, no2Ugm3, pm10Ugm3, pm25Ugm3, tempC, humidityPct,
+    * pressureHpa, batteryPct) and qualityFlag. No column depends on which
+    * gateway's copy of a frame survives dedup, and no row on the order in
+    * which packets arrive, so any micro-batch split and file order of a
+    * stream stores what [[batch]] computes.
     */
   def transform(packets: DataFrame, fleet: DataFrame): DataFrame = {
-    val decoded = packets
-      .withColumn("ts", timestamp_seconds(col("tsEpoch")))
-      .withColumn("m", decodeUdf(col("payloadB64")))
+    val decoded = packets.withColumn("m", decodeUdf(col("payloadB64")))
 
     val rangeOk = Ranges.map { case (field, (lo, hi)) =>
       col("m").getField(field).between(lo, hi)
@@ -50,17 +50,14 @@ object StreamingEtl {
         .otherwise(Quality.Ok))
 
     // Multi-gateway duplicates share (deviceId, frameCounter); keep one copy.
-    // The key has no event-time column, so the 1h watermark never evicts
-    // dedup state: it grows with every frame seen (ROADMAP open item 1).
-    val deduped = validated
-      .withWatermark("ts", "1 hour")
-      .dropDuplicates("deviceId", "frameCounter")
+    // Streaming dedup state holds one row per frame seen and is never evicted.
+    val deduped = validated.dropDuplicates("deviceId", "frameCounter")
 
     deduped
       .join(fleet.select("deviceId", "city", "lat", "lon"), Seq("deviceId"))
       .select(
         col("deviceId"), col("city"), col("lat"), col("lon"),
-        col("tsEpoch"), col("ts"),
+        col("tsEpoch"),
         coalesce(col("m.co2Ppm"), lit(Double.NaN)).as("co2Ppm"),
         coalesce(col("m.no2Ugm3"), lit(Double.NaN)).as("no2Ugm3"),
         coalesce(col("m.pm10Ugm3"), lit(Double.NaN)).as("pm10Ugm3"),
@@ -69,8 +66,7 @@ object StreamingEtl {
         coalesce(col("m.humidityPct"), lit(Double.NaN)).as("humidityPct"),
         coalesce(col("m.pressureHpa"), lit(Double.NaN)).as("pressureHpa"),
         coalesce(col("m.batteryPct"), col("batteryPct")).as("batteryPct"),
-        col("intervalMin"), col("qualityFlag"),
-        col("gatewayId"), col("rssi"))
+        col("qualityFlag"))
   }
 
   /** Batch driver over a bridge directory of JSON packet files. */

@@ -16,10 +16,10 @@ object TableFmt {
     (s"== $title ==" +: line(headers) +: sep +: rows.map(line)).mkString("\n")
   }
 
-  /** Render the first `limit` rows of a DataFrame. */
-  def renderDF(title: String, df: DataFrame, limit: Int = 100): String = {
+  /** Render the first 100 rows of a DataFrame. */
+  def renderDF(title: String, df: DataFrame): String = {
     val headers = df.columns.toSeq
-    val rows = df.limit(limit).collect().toSeq.map(_.toSeq.map {
+    val rows = df.limit(100).collect().toSeq.map(_.toSeq.map {
       case null => "-"
       case d: Double => f"$d%.3f"
       case x => x.toString

@@ -53,12 +53,14 @@ object DataportProtocol {
   * would make a set of sensors invisible"; a backend twin monitors the
   * TTN/MQTT path; an external watchdog monitors the dataport itself.
   */
-final class Dataport(fleet: Seq[SensorNode], gateways: Seq[Gateway],
-                     missedCyclesForAlarm: Int = 3,
-                     gatewayTimeoutSec: Long = 1800,
-                     backendTimeoutSec: Long = 900) {
+final class Dataport(fleet: Seq[SensorNode], gateways: Seq[Gateway]) {
 
   import DataportProtocol._
+
+  private val MissedCyclesForAlarm = 3
+  private val GatewayTimeoutSec = 1800L
+  private val BackendTimeoutSec = 900L
+  private val WatchdogToleranceSec = 900L
 
   val system = new ActorSystem("dataport")
 
@@ -117,7 +119,7 @@ final class Dataport(fleet: Seq[SensorNode], gateways: Seq[Gateway],
         // interval follows the node's battery-adaptive frequency.
         val expSec = s.expectedIntervalMin * 60L
         val missed = if (s.lastSeen <= 0) 0L else (now - s.lastSeen) / expSec
-        if (!s.alarmed && missed >= missedCyclesForAlarm) {
+        if (!s.alarmed && missed >= MissedCyclesForAlarm) {
           s.alarmed = true
           ctx.parent.foreach(ctx.send(_,
             SensorDown(deviceId, s.lastSeen, missed, s.recentGateways.toSet, now)))
@@ -139,7 +141,7 @@ final class Dataport(fleet: Seq[SensorNode], gateways: Seq[Gateway],
         }
       case Tick(now) =>
         val s = st
-        if (!s.alarmed && s.lastSeen > 0 && now - s.lastSeen > gatewayTimeoutSec) {
+        if (!s.alarmed && s.lastSeen > 0 && now - s.lastSeen > GatewayTimeoutSec) {
           s.alarmed = true
           ctx.parent.foreach(ctx.send(_, GatewayDown(gatewayId, s.lastSeen, now)))
         }
@@ -201,7 +203,7 @@ final class Dataport(fleet: Seq[SensorNode], gateways: Seq[Gateway],
         backendLastSeen = math.max(backendLastSeen, t)
         backendAlarmed = false
       case Tick(now) =>
-        if (!backendAlarmed && backendLastSeen > 0 && now - backendLastSeen > backendTimeoutSec) {
+        if (!backendAlarmed && backendLastSeen > 0 && now - backendLastSeen > BackendTimeoutSec) {
           backendAlarmed = true
           ctx.parent.foreach(ctx.send(_, BackendDown(backendLastSeen, now)))
         }
@@ -264,6 +266,6 @@ final class Dataport(fleet: Seq[SensorNode], gateways: Seq[Gateway],
   /** External watchdog (AppBeat substitute): the dataport itself is healthy
     * iff it processed a Tick recently.
     */
-  def watchdogHealthy(nowEpoch: Long, toleranceSec: Long = 900): Boolean =
-    lastTickProcessedEpoch > 0 && nowEpoch - lastTickProcessedEpoch <= toleranceSec
+  def watchdogHealthy(nowEpoch: Long): Boolean =
+    lastTickProcessedEpoch > 0 && nowEpoch - lastTickProcessedEpoch <= WatchdogToleranceSec
 }

@@ -24,14 +24,14 @@ class OutlierDetectionSpec extends SparkSpec {
   }
 
   test("decayingSensors finds the injected decaying node in the fixture") {
-    val found = OutlierDetection.decayingSensors(TestData.readings, "no2Ugm3", 0.3)
+    val found = OutlierDetection.decayingSensors(TestData.readings, "no2Ugm3")
       .collect().map(_.getString(0)).toSet
     assert(found.contains(SensorFleet.DecayingDeviceId),
       s"found=$found expected to include ${SensorFleet.DecayingDeviceId}")
   }
 
   test("healthy fixture sensors are not flagged as decaying en masse") {
-    val found = OutlierDetection.decayingSensors(TestData.readings, "no2Ugm3", 0.3).count()
+    val found = OutlierDetection.decayingSensors(TestData.readings, "no2Ugm3").count()
     assert(found <= 3, s"flagged=$found of 14")
   }
 }
