@@ -8,17 +8,20 @@ import repro.tables._
   * the scale factor (default 0.1, the benchmark scale).
   */
 object JobSession {
-  def build(name: String): SparkSession =
-    SparkSession.builder()
+  def build(name: String): SparkSession = {
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
-      .config("spark.sql.shuffle.partitions",
-        sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       // A T1/T3/T4/T5 pass uses ~300 generated classes; the default 100 evicts them.
       .config("spark.sql.codegen.cache.maxEntries", 1000)
       // A listing job costs one task per path; a local stat on the driver is cheaper.
       .config("spark.sql.sources.parallelPartitionDiscovery.threshold", Int.MaxValue)
       .getOrCreate()
+    // One shuffle partition per core (`local[N]` gives N): each partition costs a
+    // fixed amount per micro-batch, so more partitions than cores only add overhead.
+    spark.conf.set("spark.sql.shuffle.partitions", spark.sparkContext.defaultParallelism.toLong)
+    spark
+  }
   def sf(args: Array[String]): Double =
     args.headOption.map(_.toDouble).getOrElse(0.1)
 }

@@ -2,7 +2,6 @@ package repro
 
 import org.apache.spark.sql.SparkSession
 import repro.jobs.JobSession
-import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
 /** Base for every test: one local-mode SparkSession for the whole run,
@@ -10,26 +9,22 @@ import org.scalatest.funsuite.AnyFunSuite
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * limit).
   */
-trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
+trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared
-
-  override def afterAll(): Unit = { super.afterAll() }
 }
 
 object SparkSpec {
   lazy val shared: SparkSession = {
     val s = JobSession.build("repro")
-    s.conf.set("spark.sql.autoBroadcastJoinThreshold", -1)
     // One line in test output that tells the driver whether the cgroup
     // derivation saw the real limit (README § Spark target).
     Console.err.println(
       s"[SparkSpec] driverMem=${sys.env.getOrElse("SPARK_DRIVER_MEM", "(unset)")} " +
       s"master=${s.sparkContext.master} " +
-      s"defaultParallelism=${s.sparkContext.defaultParallelism}"
+      s"defaultParallelism=${s.sparkContext.defaultParallelism} " +
+      s"shufflePartitions=${s.conf.get("spark.sql.shuffle.partitions")}"
     )
     s
   }

@@ -1,11 +1,19 @@
 package repro.core
 
+import org.apache.spark.sql.internal.SQLConf
 import repro.SparkSpec
 import repro.tsdb.TsdbStore
 
 class PipelineSpec extends SparkSpec {
 
   private val sf = 0.005
+
+  test("tests run in the jobs' session: one shuffle partition per core, broadcast joins on") {
+    assert(spark.conf.get(SQLConf.SHUFFLE_PARTITIONS.key) ==
+      spark.sparkContext.defaultParallelism.toString)
+    val threshold = SQLConf.AUTO_BROADCASTJOIN_THRESHOLD.key
+    assert(spark.conf.get(threshold) == new SQLConf().getConfString(threshold))
+  }
 
   test("receivedPackets carries duplicates and loss relative to uplinks") {
     val ups = repro.iot.SensorSimulator.uplinks(spark, sf, 7L).count()

@@ -94,39 +94,31 @@ class StreamingEtlSpec extends SparkSpec {
       Files.write(f.toPath, bySlice(i).mkString("\n").getBytes)
       f
     }
-    // Six streaming runs: 4 shuffle partitions, not the session's 64, keep
-    // each micro-batch to about a second. Every run has a fresh checkpoint,
-    // so its dedup state takes the setting.
-    val partitions = "spark.sql.shuffle.partitions"
-    val saved = spark.conf.get(partitions)
-    spark.conf.set(partitions, "4")
-    try {
-      // Materialised: on Spark 4.1.2, `exceptAll` with this melt plan on its
-      // left fails to bind `tsEpoch` (INTERNAL_ERROR_ATTRIBUTE_NOT_FOUND).
-      val expected = TsdbStore.meltReadings(
-        StreamingEtl.okOnly(StreamingEtl.batch(spark, bridgeDir.toString, fleet)),
-        TsdbStore.StandardMetrics).localCheckpoint()
-      assert(expected.select("metric").distinct().count() == 8)
+    // Materialised: on Spark 4.1.2, `exceptAll` with this melt plan on its
+    // left fails to bind `tsEpoch` (INTERNAL_ERROR_ATTRIBUTE_NOT_FOUND).
+    val expected = TsdbStore.meltReadings(
+      StreamingEtl.okOnly(StreamingEtl.batch(spark, bridgeDir.toString, fleet)),
+      TsdbStore.StandardMetrics).localCheckpoint()
+    assert(expected.select("metric").distinct().count() == 8)
 
-      // The file source takes the oldest file first, so modification times
-      // set the order in which slices reach the stream.
-      val base = System.currentTimeMillis() - 60000L
-      for {
-        (order, ranks) <- Seq("time order" -> (0 until 8), "reversed" -> (7 to 0 by -1))
-        split <- Seq(Some(1), Some(3), None)
-      } {
-        files.zip(ranks).foreach { case (f, r) => assert(f.setLastModified(base + r * 2000L)) }
-        val run = Files.createTempDirectory(work.toPath, "run").toFile
-        val store = TsdbStore(new java.io.File(run, "tsdb").toString)
-        StreamingEtl.startStream(spark, bridgeDir.toString, new java.io.File(run, "chk").toString,
-          store, fleet, maxFilesPerTrigger = split).awaitTermination()
-        val stored = store.points(spark)
-        withClue(s"$order, maxFilesPerTrigger=$split: ") {
-          assert(stored.exceptAll(expected).isEmpty)
-          assert(expected.exceptAll(stored).isEmpty)
-        }
+    // The file source takes the oldest file first, so modification times
+    // set the order in which slices reach the stream.
+    val base = System.currentTimeMillis() - 60000L
+    for {
+      (order, ranks) <- Seq("time order" -> (0 until 8), "reversed" -> (7 to 0 by -1))
+      split <- Seq(Some(1), Some(3), None)
+    } {
+      files.zip(ranks).foreach { case (f, r) => assert(f.setLastModified(base + r * 2000L)) }
+      val run = Files.createTempDirectory(work.toPath, "run").toFile
+      val store = TsdbStore(new java.io.File(run, "tsdb").toString)
+      StreamingEtl.startStream(spark, bridgeDir.toString, new java.io.File(run, "chk").toString,
+        store, fleet, maxFilesPerTrigger = split).awaitTermination()
+      val stored = store.points(spark)
+      withClue(s"$order, maxFilesPerTrigger=$split: ") {
+        assert(stored.exceptAll(expected).isEmpty)
+        assert(expected.exceptAll(stored).isEmpty)
       }
-    } finally spark.conf.set(partitions, saved)
+    }
   }
 
   test("a micro-batch of more than 32 bridge files is listed on the driver") {
@@ -196,17 +188,9 @@ class StreamingEtlSpec extends SparkSpec {
     val bridgeDir = new java.io.File(work, "bridge").toString
     Pipeline.writeBridge(spark, sf, 7L, bridgeDir)
     val store = TsdbStore(new java.io.File(work, "tsdb").toString)
-    // Broadcast the fleet, as the spark-submit jobs do: a shuffled join
-    // would put an exchange above dedup that Spark reuses, hiding re-runs.
-    val threshold = "spark.sql.autoBroadcastJoinThreshold"
-    val saved = spark.conf.get(threshold)
-    spark.conf.set(threshold, "10MB")
-    val q = try {
-      val q = StreamingEtl.startStream(spark, bridgeDir,
-        new java.io.File(work, "chk").toString, store, fleet)
-      q.awaitTermination()
-      q
-    } finally spark.conf.set(threshold, saved)
+    val q = StreamingEtl.startStream(spark, bridgeDir,
+      new java.io.File(work, "chk").toString, store, fleet)
+    q.awaitTermination()
     val batches = q.recentProgress.filter(_.numInputRows > 0)
     assert(batches.length == 1)
     val frames = spark.read.schema(Schemas.packetSchema).json(bridgeDir)
