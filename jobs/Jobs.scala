@@ -16,6 +16,8 @@ object JobSession {
       .config("spark.sql.codegen.cache.maxEntries", 1000)
       // A listing job costs one task per path; a local stat on the driver is cheaper.
       .config("spark.sql.sources.parallelPartitionDiscovery.threshold", Int.MaxValue)
+      // One executor class loader for every session: each streaming run reuses compiled classes.
+      .config("spark.sql.artifact.isolation.enabled", false)
       .getOrCreate()
     // One shuffle partition per core (`local[N]` gives N): each partition costs a
     // fixed amount per micro-batch, so more partitions than cores only add overhead.

@@ -90,11 +90,4 @@ object RadioNetwork {
       receive(up, gws, outages, la, lo, seed)
     }
   }
-
-  /** The gateway a node hears best (highest delivery probability) — the
-    * "primary gateway" used by the dataport's fault classification.
-    */
-  def primaryGateway(nodeLat: Double, nodeLon: Double, gws: Seq[Gateway] = gateways): String =
-    gws.maxBy(gw => deliveryProbability(
-      GeoFunctions.haversineKm(nodeLat, nodeLon, gw.lat, gw.lon), gw.rangeKm)).gatewayId
 }

@@ -18,13 +18,15 @@ trait SparkSpec extends AnyFunSuite {
 object SparkSpec {
   lazy val shared: SparkSession = {
     val s = JobSession.build("repro")
-    // One line in test output that tells the driver whether the cgroup
-    // derivation saw the real limit (README § Spark target).
+    // One line in test output that shows the driver heap and that the
+    // session's settings took effect: `getOrCreate` ignores static settings
+    // when a session already exists (DESIGN.md, "Session" row).
     Console.err.println(
       s"[SparkSpec] driverMem=${sys.env.getOrElse("SPARK_DRIVER_MEM", "(unset)")} " +
       s"master=${s.sparkContext.master} " +
       s"defaultParallelism=${s.sparkContext.defaultParallelism} " +
-      s"shufflePartitions=${s.conf.get("spark.sql.shuffle.partitions")}"
+      s"shufflePartitions=${s.conf.get("spark.sql.shuffle.partitions")} " +
+      s"artifactIsolation=${s.conf.get("spark.sql.artifact.isolation.enabled")}"
     )
     s
   }

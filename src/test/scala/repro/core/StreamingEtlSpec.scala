@@ -3,6 +3,7 @@ package repro.core
 import java.nio.file.Files
 import java.util.concurrent.ConcurrentLinkedQueue
 import scala.jdk.CollectionConverters._
+import org.apache.spark.metrics.source.CodegenMetrics
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions._
 import org.scalatest.concurrent.Eventually._
@@ -160,6 +161,39 @@ class StreamingEtlSpec extends SparkSpec {
     val expected = TsdbStore.meltReadings(
       StreamingEtl.okOnly(StreamingEtl.batch(spark, bridgeDir.toString, fleet)),
       TsdbStore.StandardMetrics).localCheckpoint()
+    assert(stored.select("metric").distinct().count() == 8)
+    assert(stored.exceptAll(expected).isEmpty)
+    assert(expected.exceptAll(stored).isEmpty)
+  }
+
+  test("a second ingest pass on one checkpoint compiles no generated class") {
+    val work = Files.createTempDirectory("etl-codegen").toFile
+    val bridgeDir = new java.io.File(work, "bridge"); bridgeDir.mkdirs()
+    val chk = new java.io.File(work, "chk").toString
+    val store = TsdbStore(new java.io.File(work, "tsdb").toString)
+    def writeDay(day: Int): Unit = {
+      val from = Schemas.EpochStart + day * 86400L
+      val json = packets.where(col("tsEpoch") >= from && col("tsEpoch") < from + 86400L)
+        .toJSON.collect()
+      assert(json.nonEmpty)
+      Files.write(new java.io.File(bridgeDir, s"day-$day.json").toPath, json.mkString("\n").getBytes)
+    }
+    writeDay(0)
+    Pipeline.ingestBridge(spark, bridgeDir.toString, chk, store)
+    writeDay(1)
+    // Each compile of a generated class, on the driver or in a task, adds one
+    // sample; a cache hit adds none.
+    val compiles = CodegenMetrics.METRIC_COMPILATION_TIME
+    val before = compiles.getCount
+    Pipeline.ingestBridge(spark, bridgeDir.toString, chk, store)
+    assert(compiles.getCount - before == 0, "classes compiled by the second pass")
+
+    // Materialised: on Spark 4.1.2, `exceptAll` with this melt plan on its
+    // left fails to bind `tsEpoch` (INTERNAL_ERROR_ATTRIBUTE_NOT_FOUND).
+    val expected = TsdbStore.meltReadings(
+      StreamingEtl.okOnly(StreamingEtl.batch(spark, bridgeDir.toString, fleet)),
+      TsdbStore.StandardMetrics).localCheckpoint()
+    val stored = store.points(spark)
     assert(stored.select("metric").distinct().count() == 8)
     assert(stored.exceptAll(expected).isEmpty)
     assert(expected.exceptAll(stored).isEmpty)

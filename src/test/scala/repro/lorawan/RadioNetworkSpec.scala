@@ -98,13 +98,6 @@ class RadioNetworkSpec extends AnyFunSuite {
     }
   }
 
-  test("primaryGateway picks the best-probability gateway") {
-    val ranheim = nodes.find(_.deviceId == "ctt-trd-12").get
-    assert(RadioNetwork.primaryGateway(ranheim.lat, ranheim.lon) == "gw-trd-3")
-    val heimdal = nodes.find(_.deviceId == "ctt-trd-08").get
-    assert(RadioNetwork.primaryGateway(heimdal.lat, heimdal.lon) == "gw-trd-2")
-  }
-
   test("snr is higher near the gateway") {
     assert(RadioNetwork.snrDb(0.2, 5.0, 0.0) > RadioNetwork.snrDb(4.5, 5.0, 0.0))
   }
