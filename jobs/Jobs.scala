@@ -126,8 +126,8 @@ object DashboardJob {
   }
 }
 
-/** Continuous-style ingestion: simulate, write the bridge, stream into a
-  * TSDB directory given on the command line (sf, outDir).
+/** Continuous-style ingestion: simulate, write the bridge, stream on a new
+  * checkpoint into a new or empty TSDB directory (arguments: sf, outDir).
   */
 object IngestJob {
   def main(args: Array[String]): Unit = {

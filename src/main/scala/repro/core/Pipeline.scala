@@ -58,8 +58,9 @@ object Pipeline {
     n
   }
 
-  /** Drain the bridge directory through Structured Streaming into the store;
-    * blocks until the AvailableNow query finishes.
+  /** Drain the bridge directory through Structured Streaming into the store,
+    * each file once per checkpoint (see [[TsdbStore.sink]]); blocks until
+    * the AvailableNow query finishes.
     */
   def ingestBridge(spark: SparkSession, bridgeDir: String, checkpointDir: String,
                    store: TsdbStore, seed: Long = 7L): Unit = {

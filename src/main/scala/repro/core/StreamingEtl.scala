@@ -49,9 +49,10 @@ object StreamingEtl {
         .when(!rangeOk, Quality.RangeViolation)
         .otherwise(Quality.Ok))
 
-    // Multi-gateway duplicates share (deviceId, frameCounter); keep one copy.
+    // Multi-gateway duplicates share (deviceId, tsEpoch), the point's identity;
+    // keep one copy. Unlike the frame counter, it survives a node's reset.
     // Streaming dedup state holds one row per frame seen and is never evicted.
-    val deduped = validated.dropDuplicates("deviceId", "frameCounter")
+    val deduped = validated.dropDuplicates("deviceId", "tsEpoch")
 
     deduped
       .join(fleet.select("deviceId", "city", "lat", "lon"), Seq("deviceId"))
@@ -78,24 +79,19 @@ object StreamingEtl {
     readings.where(col("qualityFlag") === Quality.Ok)
 
   /** Structured Streaming driver: ingest the bridge directory and append OK
-    * readings into the time-series store, micro-batch by micro-batch.
-    * `Trigger.AvailableNow` drains everything currently on the bridge and
-    * stops — call repeatedly (or swap the trigger) for continuous operation.
-    * Each micro-batch's new files are listed on the driver, not by a Spark
-    * job (see `JobSession.build`).
+    * readings' points, exactly once, through the store's file sink
+    * ([[TsdbStore.sink]]). `Trigger.AvailableNow` drains everything currently
+    * on the bridge and stops — call repeatedly on one checkpoint for
+    * continuous operation. Each micro-batch's new files are listed on the
+    * driver, not by a Spark job (see `JobSession.build`).
     */
   def startStream(spark: SparkSession, inputDir: String, checkpointDir: String,
                   store: TsdbStore, fleet: DataFrame,
                   maxFilesPerTrigger: Option[Int] = None): StreamingQuery = {
     val reader = spark.readStream.schema(Schemas.packetSchema)
     maxFilesPerTrigger.foreach(n => reader.option("maxFilesPerTrigger", n))
-    val readings = transform(reader.json(inputDir), fleet)
-    readings.writeStream
-      .option("checkpointLocation", checkpointDir)
-      .trigger(Trigger.AvailableNow())
-      .foreachBatch { (batchDf: DataFrame, _: Long) =>
-        store.put(TsdbStore.meltReadings(okOnly(batchDf), TsdbStore.StandardMetrics))
-      }
-      .start()
+    val points = TsdbStore.meltReadings(okOnly(transform(reader.json(inputDir), fleet)),
+      TsdbStore.StandardMetrics)
+    store.sink(points, checkpointDir).trigger(Trigger.AvailableNow()).start()
   }
 }

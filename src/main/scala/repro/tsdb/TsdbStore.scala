@@ -1,7 +1,9 @@
 package repro.tsdb
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.hadoop.fs.{FileStatus, Path}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.streaming.DataStreamWriter
 import repro.core.{TemporalAlign, firstPerKey}
 
 /** OpenTSDB-like time-series store over time-partitioned Parquet.
@@ -18,16 +20,27 @@ final case class TsdbStore(path: String) {
   import TsdbStore._
 
   /** Append points. Input must have columns
-    * (metric, tsEpoch, value, deviceId, city). Rows are clustered by
-    * partition first, so one put writes one file per (metric, date).
+    * (metric, tsEpoch, value, deviceId, city). Refused on a store a
+    * streaming query writes: its readers see only the files the sink logged.
     */
   def put(points: DataFrame): Unit = {
-    require(PointColumns.forall(points.columns.contains),
-      s"need columns $PointColumns, got ${points.columns.toSeq}")
-    points
-      .withColumn("date", to_date(timestamp_seconds(col("tsEpoch"))))
-      .repartition(col("metric"), col("date"))
-      .write.mode("append").partitionBy("metric", "date").parquet(path)
+    require(!entries(points.sparkSession, path).exists(_.getPath.getName == SinkLog),
+      s"$path is written by a streaming query; a put's files would stay unread")
+    laidOut(points).write.mode("append").partitionBy(PartitionColumns: _*).parquet(path)
+  }
+
+  /** A streaming writer that appends points through Spark's Parquet file
+    * sink, laid out as by [[put]]. The sink logs each committed micro-batch
+    * in `<path>/_spark_metadata` and skips a batch already logged, so a batch
+    * the checkpoint replays after a crash is stored once. The log counts the
+    * checkpoint's batch ids, so a new checkpoint needs an empty store.
+    */
+  def sink(points: DataFrame, checkpointDir: String): DataStreamWriter[Row] = {
+    val spark = points.sparkSession
+    require(entries(spark, path).isEmpty || entries(spark, s"$checkpointDir/offsets").nonEmpty,
+      s"$path is not empty and checkpoint $checkpointDir is new: the sink would skip its batches")
+    laidOut(points).writeStream.format("parquet").partitionBy(PartitionColumns: _*)
+      .option("path", path).option("checkpointLocation", checkpointDir)
   }
 
   private def load(spark: SparkSession): DataFrame = spark.read.parquet(path)
@@ -78,6 +91,28 @@ final case class TsdbStore(path: String) {
 
 object TsdbStore {
   val PointColumns: Seq[String] = Seq("metric", "tsEpoch", "value", "deviceId", "city")
+
+  private val PartitionColumns = Seq("metric", "date")
+  /** The streaming file sink's commit log, a subdirectory of its output. */
+  private val SinkLog = "_spark_metadata"
+
+  /** Points with their `date` column, clustered by partition: one put or
+    * micro-batch writes one file per (metric, date).
+    */
+  private def laidOut(points: DataFrame): DataFrame = {
+    require(PointColumns.forall(points.columns.contains),
+      s"need columns $PointColumns, got ${points.columns.toSeq}")
+    points
+      .withColumn("date", to_date(timestamp_seconds(col("tsEpoch"))))
+      .repartition(PartitionColumns.map(col): _*)
+  }
+
+  /** The entries of directory `dir`; none if it does not exist. */
+  private def entries(spark: SparkSession, dir: String): Seq[FileStatus] = {
+    val p = new Path(dir)
+    val fs = p.getFileSystem(spark.sparkContext.hadoopConfiguration)
+    if (fs.exists(p)) fs.listStatus(p).toSeq else Seq.empty
+  }
 
   /** Melt wide readings (one column per measured quantity) into TSDB points
     * with columns in [[PointColumns]] order. `metricCols` maps column name →

@@ -38,8 +38,7 @@ final class ActorContext private[twin] (val system: ActorSystem, val self: Actor
 object ActorSystem {
   private final case class Cell(ref: ActorRef, factory: () => Actor,
                                 var behavior: Actor, parent: Option[ActorRef],
-                                children: mutable.LinkedHashSet[ActorRef],
-                                var restarts: Int)
+                                children: mutable.LinkedHashSet[ActorRef])
 }
 
 final class ActorSystem(val name: String) {
@@ -57,8 +56,7 @@ final class ActorSystem(val name: String) {
     val path = parent.map(_.path + "/" + name).getOrElse("/" + name)
     require(!cells.contains(path), s"actor exists: $path")
     val ref = new ActorRef(path)
-    cells(path) = Cell(ref, factory, factory(), parent,
-      mutable.LinkedHashSet.empty, 0)
+    cells(path) = Cell(ref, factory, factory(), parent, mutable.LinkedHashSet.empty)
     parent.foreach(p => cells(p.path).children += ref)
     ref
   }
@@ -66,9 +64,6 @@ final class ActorSystem(val name: String) {
   def parentOf(ref: ActorRef): Option[ActorRef] = synchronized(cells.get(ref.path).flatMap(_.parent))
   def childrenOf(ref: ActorRef): Seq[ActorRef] = synchronized(
     cells.get(ref.path).map(_.children.toSeq).getOrElse(Seq.empty))
-  def restartsOf(ref: ActorRef): Int = synchronized(cells.get(ref.path).map(_.restarts).getOrElse(0))
-  def isAlive(ref: ActorRef): Boolean = synchronized(cells.contains(ref.path))
-  def actorCount: Int = synchronized(cells.size)
   def delivered: Long = synchronized(deliveredCount)
   def deadLetters: Long = synchronized(deadLetterCount)
 
@@ -106,10 +101,7 @@ final class ActorSystem(val name: String) {
               catch {
                 case e: Exception =>
                   // Supervision: restart from factory, notify the parent.
-                  synchronized {
-                    cell.behavior = cell.factory()
-                    cell.restarts += 1
-                  }
+                  synchronized { cell.behavior = cell.factory() }
                   cell.parent.foreach(p => send(p, ChildFailed(cell.ref, e)))
               }
           }

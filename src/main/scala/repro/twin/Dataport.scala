@@ -40,8 +40,6 @@ object DataportProtocol {
                                 lastSeenEpoch: Long, batteryPct: Double,
                                 expectedIntervalMin: Int, alarmed: Boolean,
                                 packets: Long, frameGaps: Long)
-  final case class GatewayStatus(gatewayId: String, city: String, lat: Double, lon: Double,
-                                 lastSeenEpoch: Long, alarmed: Boolean, packets: Long)
 }
 
 /** The network-metadata monitoring application of §2.3: "each device in the
@@ -85,7 +83,6 @@ final class Dataport(fleet: Seq[SensorNode], gateways: Seq[Gateway]) {
   private final class GatewayState(val gw: Gateway) {
     var lastSeen: Long = 0L
     var alarmed = false
-    var packets = 0L
   }
 
   private val sensorStates = fleet.map(n => n.deviceId -> new SensorState(n)).toMap
@@ -134,7 +131,6 @@ final class Dataport(fleet: Seq[SensorNode], gateways: Seq[Gateway]) {
       case p: PacketMeta =>
         val s = st
         s.lastSeen = math.max(s.lastSeen, p.tsEpoch)
-        s.packets += 1
         if (s.alarmed) {
           s.alarmed = false
           ctx.parent.foreach(ctx.send(_, GatewayRecovered(gatewayId, p.tsEpoch)))
@@ -255,13 +251,6 @@ final class Dataport(fleet: Seq[SensorNode], gateways: Seq[Gateway]) {
     SensorStatus(n.deviceId, n.city, n.lat, n.lon, s.lastSeen, s.battery,
       s.expectedIntervalMin, s.alarmed, s.packets, s.frameGaps)
   }
-
-  def gatewayStatuses: Seq[GatewayStatus] = gateways.map { g =>
-    val s = gatewayStates(g.gatewayId)
-    GatewayStatus(g.gatewayId, g.city, g.lat, g.lon, s.lastSeen, s.alarmed, s.packets)
-  }
-
-  def backendDown: Boolean = backendAlarmed
 
   /** External watchdog (AppBeat substitute): the dataport itself is healthy
     * iff it processed a Tick recently.

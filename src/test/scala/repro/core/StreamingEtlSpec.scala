@@ -1,6 +1,7 @@
 package repro.core
 
-import java.nio.file.Files
+import java.io.File
+import java.nio.file.{Files, Paths}
 import java.util.concurrent.ConcurrentLinkedQueue
 import scala.jdk.CollectionConverters._
 import org.apache.spark.metrics.source.CodegenMetrics
@@ -20,6 +21,43 @@ class StreamingEtlSpec extends SparkSpec {
   private lazy val packets = Pipeline.receivedPackets(spark, sf, 7L).toDF().cache()
   private lazy val fleet = SensorFleet.toDF(spark, 7L)
   private lazy val readings = StreamingEtl.transform(packets, fleet).cache()
+
+  /** Asserts that `store` holds exactly the points the batch transform
+    * computes over `bridgeDir`: all 8 metrics, compared by value both ways.
+    */
+  private def assertStoreEqualsBatch(store: TsdbStore, bridgeDir: String): Unit = {
+    // Materialised: on Spark 4.1.2, `exceptAll` with this melt plan on its
+    // left fails to bind `tsEpoch` (INTERNAL_ERROR_ATTRIBUTE_NOT_FOUND).
+    val expected = TsdbStore.meltReadings(
+      StreamingEtl.okOnly(StreamingEtl.batch(spark, bridgeDir, fleet)),
+      TsdbStore.StandardMetrics).localCheckpoint()
+    val stored = store.points(spark)
+    assert(stored.select("metric").distinct().count() == 8)
+    val (extra, missing) = (stored.exceptAll(expected).count(), expected.exceptAll(stored).count())
+    assert(extra == 0 && missing == 0, s"stored points vs batch: $extra extra, $missing missing")
+  }
+
+  /** Writes the packets as one JSON file per 6 event-time hours: 8 files
+    * over the 2 days, in time order.
+    */
+  private def writeSlices(bridgeDir: File): Seq[File] = {
+    bridgeDir.mkdirs()
+    val bySlice = packets
+      .select(((col("tsEpoch") - Schemas.EpochStart) / 21600).cast("int"),
+        to_json(struct(packets.columns.map(col).toIndexedSeq: _*)))
+      .collect().groupMap(_.getInt(0))(_.getString(1))
+    assert(bySlice.keySet == (0 until 8).toSet)
+    (0 until 8).map { i =>
+      val f = new File(bridgeDir, s"slice-$i.json")
+      Files.write(f.toPath, bySlice(i).mkString("\n").getBytes)
+      f
+    }
+  }
+
+  /** Every file under `dir` with its size. */
+  private def listing(dir: String): Map[String, Long] =
+    Files.walk(Paths.get(dir)).iterator().asScala.filter(Files.isRegularFile(_))
+      .map(f => f.toString -> Files.size(f)).toMap
 
   test("duplicates across gateways are collapsed to one reading per frame") {
     val frames = packets.select("deviceId", "frameCounter").distinct().count()
@@ -83,24 +121,8 @@ class StreamingEtlSpec extends SparkSpec {
 
   test("stream equals batch for any micro-batch split and file order") {
     val work = Files.createTempDirectory("etl-parity").toFile
-    val bridgeDir = new java.io.File(work, "bridge"); bridgeDir.mkdirs()
-    // One JSON file per 6 event-time hours: 8 files over the 2 days.
-    val bySlice = packets
-      .select(((col("tsEpoch") - Schemas.EpochStart) / 21600).cast("int"),
-        to_json(struct(packets.columns.map(col).toIndexedSeq: _*)))
-      .collect().groupMap(_.getInt(0))(_.getString(1))
-    assert(bySlice.keySet == (0 until 8).toSet)
-    val files = (0 until 8).map { i =>
-      val f = new java.io.File(bridgeDir, s"slice-$i.json")
-      Files.write(f.toPath, bySlice(i).mkString("\n").getBytes)
-      f
-    }
-    // Materialised: on Spark 4.1.2, `exceptAll` with this melt plan on its
-    // left fails to bind `tsEpoch` (INTERNAL_ERROR_ATTRIBUTE_NOT_FOUND).
-    val expected = TsdbStore.meltReadings(
-      StreamingEtl.okOnly(StreamingEtl.batch(spark, bridgeDir.toString, fleet)),
-      TsdbStore.StandardMetrics).localCheckpoint()
-    assert(expected.select("metric").distinct().count() == 8)
+    val bridgeDir = new File(work, "bridge")
+    val files = writeSlices(bridgeDir)
 
     // The file source takes the oldest file first, so modification times
     // set the order in which slices reach the stream.
@@ -111,20 +133,97 @@ class StreamingEtlSpec extends SparkSpec {
     } {
       files.zip(ranks).foreach { case (f, r) => assert(f.setLastModified(base + r * 2000L)) }
       val run = Files.createTempDirectory(work.toPath, "run").toFile
-      val store = TsdbStore(new java.io.File(run, "tsdb").toString)
-      StreamingEtl.startStream(spark, bridgeDir.toString, new java.io.File(run, "chk").toString,
+      val store = TsdbStore(new File(run, "tsdb").toString)
+      StreamingEtl.startStream(spark, bridgeDir.toString, new File(run, "chk").toString,
         store, fleet, maxFilesPerTrigger = split).awaitTermination()
-      val stored = store.points(spark)
       withClue(s"$order, maxFilesPerTrigger=$split: ") {
-        assert(stored.exceptAll(expected).isEmpty)
-        assert(expected.exceptAll(stored).isEmpty)
+        assertStoreEqualsBatch(store, bridgeDir.toString)
       }
     }
   }
 
+  test("a replayed micro-batch is stored once") {
+    val work = Files.createTempDirectory("etl-replay").toFile
+    val bridgeDir = new File(work, "bridge")
+    writeSlices(bridgeDir)
+    val store = TsdbStore(new File(work, "tsdb").toString)
+    val chk = new File(work, "chk")
+    def ingest() = {
+      val q = StreamingEtl.startStream(spark, bridgeDir.toString, chk.toString, store, fleet,
+        maxFilesPerTrigger = Some(3))
+      q.awaitTermination()
+      q.recentProgress.map(_.batchId).toSeq
+    }
+    assert(ingest() == Seq(0L, 1L, 2L))
+    // A crash after the store write and before the checkpoint's commit leaves
+    // the last batch uncommitted: the restarted query runs it again.
+    val commits = new File(chk, "commits")
+    assert(new File(commits, "2").delete())
+    new File(commits, ".2.crc").delete()
+    assert(ingest() == Seq(2L))
+    assertStoreEqualsBatch(store, bridgeDir.toString)
+  }
+
+  test("a frame-counter reset keeps every reading, in batch and in stream") {
+    // A browned-out solar node (Fig 4) restarts its frame counter at 0 on the
+    // second day, so its new frames reuse the counters of its first day's.
+    val device = SensorFleet.nodes(7L).head.deviceId
+    val day1 = Schemas.EpochStart + 86400L
+    val afterReset = col("deviceId") === device && col("tsEpoch") >= day1
+    val fc0 = packets.where(afterReset).agg(min("frameCounter")).head().getLong(0)
+    val reset = packets.withColumn("frameCounter",
+      when(afterReset, col("frameCounter") - fc0).otherwise(col("frameCounter")))
+    val frames = readings.count()
+    assert(reset.select("deviceId", "frameCounter").distinct().count() < frames, "counters collide")
+
+    val work = Files.createTempDirectory("etl-reset").toFile
+    val bridgeDir = new File(work, "bridge"); bridgeDir.mkdirs()
+    Seq(col("tsEpoch") < day1, col("tsEpoch") >= day1).zipWithIndex.foreach { case (day, i) =>
+      Files.write(new File(bridgeDir, s"day-$i.json").toPath,
+        reset.where(day).toJSON.collect().mkString("\n").getBytes)
+    }
+    assert(StreamingEtl.batch(spark, bridgeDir.toString, fleet).count() == frames)
+    val store = TsdbStore(new File(work, "tsdb").toString)
+    StreamingEtl.startStream(spark, bridgeDir.toString, new File(work, "chk").toString,
+      store, fleet, maxFilesPerTrigger = Some(1)).awaitTermination()
+    assertStoreEqualsBatch(store, bridgeDir.toString)
+  }
+
+  /** A store the file sink filled from a small bridge, with its checkpoint. */
+  private lazy val sinkStore = {
+    val work = Files.createTempDirectory("etl-owned").toFile
+    val bridgeDir = new File(work, "bridge"); bridgeDir.mkdirs()
+    Files.write(new File(bridgeDir, "a.json").toPath,
+      packets.limit(200).toJSON.collect().mkString("\n").getBytes)
+    val store = TsdbStore(new File(work, "tsdb").toString)
+    StreamingEtl.startStream(spark, bridgeDir.toString, new File(work, "chk").toString,
+      store, fleet).awaitTermination()
+    assert(store.points(spark).count() > 0)
+    (work, bridgeDir.toString, store)
+  }
+
+  test("a new checkpoint over a store the sink wrote is refused, the store unchanged") {
+    val (work, bridgeDir, store) = sinkStore
+    val before = listing(store.path)
+    val e = intercept[IllegalArgumentException] {
+      StreamingEtl.startStream(spark, bridgeDir, new File(work, "chk-new").toString, store, fleet)
+    }
+    assert(e.getMessage.contains("is new"))
+    assert(listing(store.path) == before)
+  }
+
+  test("a put into a store the sink wrote is refused") {
+    val (_, _, store) = sinkStore
+    val before = listing(store.path)
+    val points = store.points(spark).localCheckpoint()
+    val e = intercept[IllegalArgumentException](store.put(points))
+    assert(e.getMessage.contains("streaming query"))
+    assert(listing(store.path) == before)
+  }
+
   test("a micro-batch of more than 32 bridge files is listed on the driver") {
     val work = Files.createTempDirectory("etl-files").toFile
-    val bridgeDir = new java.io.File(work, "bridge")
+    val bridgeDir = new File(work, "bridge")
     val broker = new Broker
     // 2 000 packets at 40 a file: 50 files, over Spark's default threshold
     // of 32 paths for listing them with a parallel job.
@@ -141,11 +240,11 @@ class StreamingEtlSpec extends SparkSpec {
           .getOrElse(""))
     }
     val sc = spark.sparkContext
-    val store = TsdbStore(new java.io.File(work, "tsdb").toString)
+    val store = TsdbStore(new File(work, "tsdb").toString)
     sc.addSparkListener(listener)
     try {
       StreamingEtl.startStream(spark, bridgeDir.toString,
-        new java.io.File(work, "chk").toString, store, fleet).awaitTermination()
+        new File(work, "chk").toString, store, fleet).awaitTermination()
       // The bus delivers events in order: once the sentinel is seen, so is
       // every job of the query.
       sc.setJobDescription("sentinel")
@@ -155,28 +254,20 @@ class StreamingEtlSpec extends SparkSpec {
     val listings = descriptions.asScala.filter(_.startsWith("Listing leaf files and directories"))
     assert(listings.isEmpty, s"listing jobs: ${listings.mkString("; ")}")
 
-    val stored = store.points(spark)
-    // Materialised: on Spark 4.1.2, `exceptAll` with this melt plan on its
-    // left fails to bind `tsEpoch` (INTERNAL_ERROR_ATTRIBUTE_NOT_FOUND).
-    val expected = TsdbStore.meltReadings(
-      StreamingEtl.okOnly(StreamingEtl.batch(spark, bridgeDir.toString, fleet)),
-      TsdbStore.StandardMetrics).localCheckpoint()
-    assert(stored.select("metric").distinct().count() == 8)
-    assert(stored.exceptAll(expected).isEmpty)
-    assert(expected.exceptAll(stored).isEmpty)
+    assertStoreEqualsBatch(store, bridgeDir.toString)
   }
 
   test("a second ingest pass on one checkpoint compiles no generated class") {
     val work = Files.createTempDirectory("etl-codegen").toFile
-    val bridgeDir = new java.io.File(work, "bridge"); bridgeDir.mkdirs()
-    val chk = new java.io.File(work, "chk").toString
-    val store = TsdbStore(new java.io.File(work, "tsdb").toString)
+    val bridgeDir = new File(work, "bridge"); bridgeDir.mkdirs()
+    val chk = new File(work, "chk").toString
+    val store = TsdbStore(new File(work, "tsdb").toString)
     def writeDay(day: Int): Unit = {
       val from = Schemas.EpochStart + day * 86400L
       val json = packets.where(col("tsEpoch") >= from && col("tsEpoch") < from + 86400L)
         .toJSON.collect()
       assert(json.nonEmpty)
-      Files.write(new java.io.File(bridgeDir, s"day-$day.json").toPath, json.mkString("\n").getBytes)
+      Files.write(new File(bridgeDir, s"day-$day.json").toPath, json.mkString("\n").getBytes)
     }
     writeDay(0)
     Pipeline.ingestBridge(spark, bridgeDir.toString, chk, store)
@@ -187,30 +278,21 @@ class StreamingEtlSpec extends SparkSpec {
     val before = compiles.getCount
     Pipeline.ingestBridge(spark, bridgeDir.toString, chk, store)
     assert(compiles.getCount - before == 0, "classes compiled by the second pass")
-
-    // Materialised: on Spark 4.1.2, `exceptAll` with this melt plan on its
-    // left fails to bind `tsEpoch` (INTERNAL_ERROR_ATTRIBUTE_NOT_FOUND).
-    val expected = TsdbStore.meltReadings(
-      StreamingEtl.okOnly(StreamingEtl.batch(spark, bridgeDir.toString, fleet)),
-      TsdbStore.StandardMetrics).localCheckpoint()
-    val stored = store.points(spark)
-    assert(stored.select("metric").distinct().count() == 8)
-    assert(stored.exceptAll(expected).isEmpty)
-    assert(expected.exceptAll(stored).isEmpty)
+    assertStoreEqualsBatch(store, bridgeDir.toString)
   }
 
   test("streaming dedups across micro-batch file boundaries") {
     val work = Files.createTempDirectory("etl-dup").toFile
-    val bridgeDir = new java.io.File(work, "bridge"); bridgeDir.mkdirs()
+    val bridgeDir = new File(work, "bridge"); bridgeDir.mkdirs()
     // The same 100 packets written twice into separate files.
     val slice = packets.limit(100).toJSON.collect()
-    Files.write(new java.io.File(bridgeDir, "a.json").toPath,
+    Files.write(new File(bridgeDir, "a.json").toPath,
       slice.mkString("\n").getBytes)
-    Files.write(new java.io.File(bridgeDir, "b.json").toPath,
+    Files.write(new File(bridgeDir, "b.json").toPath,
       slice.mkString("\n").getBytes)
-    val store = TsdbStore(new java.io.File(work, "tsdb").toString)
+    val store = TsdbStore(new File(work, "tsdb").toString)
     val q = StreamingEtl.startStream(spark, bridgeDir.toString,
-      new java.io.File(work, "chk").toString, store, fleet)
+      new File(work, "chk").toString, store, fleet)
     q.awaitTermination()
     val distinctFrames = packets.limit(100)
       .select("deviceId", "frameCounter").distinct().count()
@@ -219,11 +301,11 @@ class StreamingEtlSpec extends SparkSpec {
 
   test("streaming dedup keeps one state row per frame, not one per metric") {
     val work = Files.createTempDirectory("etl-state").toFile
-    val bridgeDir = new java.io.File(work, "bridge").toString
+    val bridgeDir = new File(work, "bridge").toString
     Pipeline.writeBridge(spark, sf, 7L, bridgeDir)
-    val store = TsdbStore(new java.io.File(work, "tsdb").toString)
+    val store = TsdbStore(new File(work, "tsdb").toString)
     val q = StreamingEtl.startStream(spark, bridgeDir,
-      new java.io.File(work, "chk").toString, store, fleet)
+      new File(work, "chk").toString, store, fleet)
     q.awaitTermination()
     val batches = q.recentProgress.filter(_.numInputRows > 0)
     assert(batches.length == 1)

@@ -22,8 +22,9 @@ class DataportSpec extends AnyFunSuite {
     assert(s.lastSeenEpoch == EpochStart + 600)
     assert(s.batteryPct == 88.5)
     assert(s.packets == 2)
-    val g = dp.gatewayStatuses.find(_.gatewayId == "gw-trd-1").get
-    assert(g.packets == 2 && g.lastSeenEpoch == EpochStart + 600)
+    dp.tick(EpochStart + 600 + 1900)
+    assert(dp.alarms.collect { case a: GatewayDown => (a.gatewayId, a.lastSeenEpoch) } ==
+      Seq(("gw-trd-1", EpochStart + 600)))
   }
 
   test("single frame gap is counted, not alarmed") {
@@ -77,7 +78,10 @@ class DataportSpec extends AnyFunSuite {
     dp.tick(EpochStart + 300 + 1900)
     val down = dp.alarms.collect { case a: GatewayDown => a }
     assert(down.map(_.gatewayId) == Seq("gw-trd-1"))
-    assert(dp.gatewayStatuses.filter(_.alarmed).map(_.gatewayId) == Seq("gw-trd-1"))
+    dp.tick(EpochStart + 300 + 2200)
+    assert(dp.alarms.collect { case a: GatewayDown => a }.size == 1, "no alarm spam")
+    dp.ingest(pkt("ctt-trd-01", "gw-trd-1", 1, EpochStart + 2600))
+    assert(dp.alarms.collect { case a: GatewayRecovered => a.gatewayId } == Seq("gw-trd-1"))
   }
 
   test("classification: sensor silent while its only gateway is down ⇒ gateway-outage") {
@@ -105,14 +109,19 @@ class DataportSpec extends AnyFunSuite {
 
   test("backend twin alarms when heartbeats stop") {
     val dp = freshPort()
+    def backendAlarms = dp.alarms.collect { case a: BackendDown => a.lastSeenEpoch }
     dp.heartbeat(EpochStart + 300)
     dp.tick(EpochStart + 600)
-    assert(!dp.backendDown)
+    assert(backendAlarms.isEmpty)
     dp.tick(EpochStart + 300 + 1000)
-    assert(dp.backendDown)
-    assert(dp.alarms.exists { case _: BackendDown => true; case _ => false })
+    dp.tick(EpochStart + 300 + 1300)
+    assert(backendAlarms == Seq(EpochStart + 300), "one alarm per silence")
+    // A heartbeat clears the alarm, so the next silence alarms again.
     dp.heartbeat(EpochStart + 2000)
-    assert(!dp.backendDown)
+    dp.tick(EpochStart + 2000 + 600)
+    assert(backendAlarms.size == 1)
+    dp.tick(EpochStart + 2000 + 1000)
+    assert(backendAlarms == Seq(EpochStart + 300, EpochStart + 2000))
   }
 
   test("watchdog: healthy only if a tick was processed recently") {
@@ -125,8 +134,12 @@ class DataportSpec extends AnyFunSuite {
 
   test("hierarchy: one city actor per city plus twins exist") {
     val dp = freshPort()
-    // 1 root + 2 cities + 14 sensors + 4 gateways + 1 backend = 22 actors.
-    assert(dp.system.actorCount == 22)
+    // A tick reaches every actor once: 1 root + 2 cities + 14 sensors +
+    // 4 gateways + 1 backend = 22 deliveries, none of them dead letters.
+    val before = dp.system.delivered
+    dp.tick(EpochStart + 300)
+    assert(dp.system.delivered - before == 22)
+    assert(dp.system.deadLetters == 0)
   }
 
   test("packets for unknown devices are ignored gracefully") {
